@@ -44,7 +44,8 @@ class ZeroDenominator(ValidationError):
 
 
 class LengthMismatch(ValidationError):
-    """Ideal score vector is shorter than the list being evaluated."""
+    """Parallel vectors disagree in length, e.g. a ranked list's attributes
+    and scores, or an ideal score vector shorter than the list evaluated."""
 
 
 class UnknownAlgorithm(ValidationError):

@@ -79,6 +79,11 @@ def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
     return counts / k
 
 
+def _skews(shares: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
+    """ln(share / p) per attribute, shares clamped below at SKEW_EPSILON / k."""
+    return np.log(np.maximum(shares, SKEW_EPSILON / k) / p)
+
+
 def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
     """Skew of every attribute value at depth k (natural log)."""
     _check_alignment(ranked, desired)
@@ -86,8 +91,7 @@ def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.n
     p = np.asarray(desired.proportions, dtype=np.float64)
     if np.any(p <= 0):
         raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
-    observed = np.maximum(proportions_at_k(ranked, k), SKEW_EPSILON / k)
-    return np.log(observed / p)
+    return _skews(proportions_at_k(ranked, k), k, p)
 
 
 def skew_at_k(ranked: RankedList, desired: DesiredDistribution, attr, k: int) -> float:
@@ -183,19 +187,22 @@ def ndcg(ranked, ideal_scores) -> float:
     return num / den
 
 
-def _infeasibility_from_counts(cum: np.ndarray, p: np.ndarray) -> tuple[int, int]:
+def _floor_violations(cum: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(n, num_attrs) mask of counts below floor(k * p_a); row i is k = i + 1."""
     ks = np.arange(1, cum.shape[0] + 1, dtype=np.float64)
-    violations = cum < floor_quotas(np.outer(ks, p))
+    return cum < floor_quotas(np.outer(ks, p))
+
+
+def _infeasibility_from_counts(cum: np.ndarray, p: np.ndarray) -> tuple[int, int]:
+    violations = _floor_violations(cum, p)
     return int(violations.any(axis=1).sum()), int(violations.sum())
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
     _check_alignment(ranked, desired)
-    cum = prefix_counts(ranked)
-    ks = np.arange(1, len(ranked) + 1, dtype=np.float64)
-    floors = floor_quotas(np.outer(ks, np.asarray(desired.proportions, dtype=np.float64)))
-    return np.flatnonzero((cum < floors).any(axis=1)) + 1
+    p = np.asarray(desired.proportions, dtype=np.float64)
+    return np.flatnonzero(_floor_violations(prefix_counts(ranked), p).any(axis=1)) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -270,8 +277,7 @@ def measure(
         raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
     cum = prefix_counts(ranked)
 
-    observed = np.maximum(cum[k - 1] / k, SKEW_EPSILON / k)
-    skew = np.log(observed / p)
+    skew = _skews(cum[k - 1] / k, k, p)
 
     if ideal_scores is None:
         ideal = np.sort(ranked.scores)[::-1]

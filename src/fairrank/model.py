@@ -19,6 +19,7 @@ from .errors import (
     AllZeroCounts,
     DistributionNotNormalized,
     InsufficientCandidates,
+    LengthMismatch,
     PoolNotSorted,
     UnknownAttribute,
     ValidationError,
@@ -104,12 +105,26 @@ class RankedList:
     a candidate of attribute labels[attributes[i]] with score scores[i].
     fallback_events counts positions where a constrained algorithm had to
     substitute an attribute because the one its rule demanded was exhausted.
+
+    Construction rejects attribute and score arrays of different lengths
+    (LengthMismatch), an attribute index outside 0..len(labels) - 1
+    (UnknownAttribute) and a non-finite score (ValidationError), so the
+    metrics can take any RankedList as well-formed.
     """
 
     labels: tuple[str, ...]
     attributes: np.ndarray
     scores: np.ndarray
     fallback_events: int = 0
+
+    def __post_init__(self):
+        attrs = np.asarray(self.attributes)
+        if attrs.shape != np.shape(self.scores):
+            raise LengthMismatch(f"{attrs.size} attributes but {np.size(self.scores)} scores")
+        if attrs.size and (attrs.min() < 0 or attrs.max() >= len(self.labels)):
+            raise UnknownAttribute(f"attribute index outside 0..{len(self.labels) - 1}")
+        if not np.isfinite(self.scores).all():
+            raise ValidationError("ranked scores must be finite")
 
     def __len__(self) -> int:
         return len(self.attributes)

@@ -1,20 +1,17 @@
-"""Integer quotas floor(k*p) and ceil(k*p) with a snap-to-integer guard.
+"""Integer quota tables floor(k*p) and ceil(k*p) with a snap-to-integer guard.
 
 Representation constraints compare candidate counts against floor(k * p_a)
 and ceil(k * p_a). The product k * p_a is computed in floating point, so a
 quota that is mathematically an integer can land a hair off it: 90 * 0.7
 evaluates to 62.99999999999999 and a raw floor yields 62 instead of 63,
 while 77 * (9/11) evaluates to 63.00000000000001 and a raw ceil yields 64.
-Products within SNAP_TOL of an integer are snapped to it before rounding.
+Values within SNAP_TOL of an integer are snapped to it before rounding.
 
-Both the re-ranking algorithms and the feasibility metrics round through
-these helpers so they agree on every quota. The scalar helpers use plain
-float arithmetic, since the re-rankers call them inside per-position loops
-where a numpy scalar round trip costs more than the rest of the step; they
-round exactly as the array helpers do.
+Quotas round in one place: the re-ranking algorithms build whole
+(prefix length, attribute) tables through these helpers before their
+position loops, and the feasibility metrics use the same helpers, so both
+agree on every quota.
 """
-
-import math
 
 import numpy as np
 
@@ -26,27 +23,11 @@ def _snap(x):
     return np.where(np.abs(x - nearest) <= SNAP_TOL, nearest, x)
 
 
-def _snap_scalar(x: float) -> float:
-    x = float(x)
-    nearest = round(x)
-    return nearest if abs(x - nearest) <= SNAP_TOL else x
-
-
-def floor_quota(x: float) -> int:
-    """floor(x) after snapping near-integer x."""
-    return math.floor(_snap_scalar(x))
-
-
-def ceil_quota(x: float) -> int:
-    """ceil(x) after snapping near-integer x."""
-    return math.ceil(_snap_scalar(x))
-
-
 def floor_quotas(x: np.ndarray) -> np.ndarray:
-    """Elementwise floor_quota; returns int64."""
+    """Elementwise floor(x) after snapping near-integer x; returns int64."""
     return np.floor(_snap(np.asarray(x, dtype=np.float64))).astype(np.int64)
 
 
 def ceil_quotas(x: np.ndarray) -> np.ndarray:
-    """Elementwise ceil_quota; returns int64."""
+    """Elementwise ceil(x) after snapping near-integer x; returns int64."""
     return np.ceil(_snap(np.asarray(x, dtype=np.float64))).astype(np.int64)

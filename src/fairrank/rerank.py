@@ -15,7 +15,10 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
   otherwise pick the highest next score among attributes below their ceiling.
 - detcons: once floors are satisfied, prefer the attribute whose ceiling
   constraint will bind soonest, i.e. minimal ceil(k * p_a) / p_a; ties prefer
-  the higher next score, then the lower attribute index.
+  the higher next score, then the lower attribute index. Pressures within
+  quota.SNAP_TOL (relative) count as equal, so a tie that float noise would
+  split (3 / 0.05 = 60.0 but 21 / 0.35 = 60.00000000000001) goes to the
+  score.
 - detrelaxed: like detcons but compares ceil(ceil(k * p_a) / p_a), which
   groups attributes into coarser equivalence classes; within the argmin
   class the highest next score wins.
@@ -24,15 +27,23 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
   bound equal to the counter value, then swapped toward the front while the
   left neighbor has a lower score and may still sit that far down.
 
+detgreedy, detcons and detrelaxed share one selection step. Each task gets
+a (k_max, n) key table, built with numpy before the position loop (zeros
+for detgreedy, pressure classes for detcons, levels for detrelaxed), and
+_pick takes the lowest key, then the higher next score, then the lower
+index, over the attributes below their floor (with a zero key) or else
+below their ceiling.
+
 Every tie anywhere resolves by ascending attribute index (the order labels
 appear in the desired distribution), which makes all algorithms fully
 deterministic.
 
 When an algorithm demands an attribute whose pool is exhausted it raises
-InsufficientCandidates. With fallback=True it instead re-applies its
-selection rule over widening candidate sets (below-ceiling attributes with
-candidates remaining, then any attribute with candidates remaining) and
-counts each substitution in RankedList.fallback_events.
+InsufficientCandidates. With fallback=True it instead re-applies _pick with
+the step's key (zeros for detconstsort) over widening candidate sets
+(below-ceiling attributes with candidates remaining, then any attribute with
+candidates remaining) and counts each substitution in
+RankedList.fallback_events.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import numpy as np
 
 from .errors import EmptyCandidateSets, InsufficientCandidates, UnknownAlgorithm
 from .model import RankedList, RankingTask, _freeze
-from .quota import ceil_quota, ceil_quotas, floor_quota, floor_quotas
+from .quota import SNAP_TOL, ceil_quotas, floor_quotas
 
 
 class Algorithm(Enum):
@@ -72,118 +83,91 @@ def coerce_algorithm(value) -> Algorithm:
 _NEG_INF = float("-inf")
 
 
-def _pick_greedy(cands, counts, pools, p, ce):
-    """Highest next score among cands; None if every pool there is empty."""
-    best = None
-    best_score = _NEG_INF
-    for a in cands:
-        c = counts[a]
-        if c < len(pools[a]):
-            s = pools[a][c]
-            if s > best_score:
-                best, best_score = a, s
-    return best
+def _quota_tables(proportions, n_rows: int, algorithm: Algorithm):
+    """Floors, ceilings and _pick keys for prefix lengths 1..n_rows, as row lists.
+
+    Keys are the detcons pressure ceil(k * p_a) / p_a as integer classes, so
+    that mathematically equal pressures tie exactly; the detrelaxed level
+    ceil(ceil(k * p_a) / p_a); and zeros for every other algorithm.
+    """
+    p = np.asarray(proportions, dtype=np.float64)
+    products = np.outer(np.arange(1, n_rows + 1, dtype=np.float64), p)
+    floors = floor_quotas(products)
+    ceils = ceil_quotas(products)
+    if algorithm is Algorithm.DET_CONS:
+        # sort each row; a new class starts wherever the next pressure is
+        # more than SNAP_TOL (relative) above the previous one
+        pressure = ceils / p
+        order = pressure.argsort(axis=1)
+        rows = np.arange(n_rows)[:, None]
+        ranked = pressure[rows, order]
+        steps = ranked[:, :-1] < ranked[:, 1:] * (1 - SNAP_TOL)
+        keys = np.zeros(pressure.shape, dtype=np.int64)
+        keys[rows, order[:, 1:]] = steps.cumsum(axis=1)
+        keys = keys.tolist()
+    elif algorithm is Algorithm.DET_RELAXED:
+        keys = ceil_quotas(ceils / p).tolist()
+    else:
+        keys = [[0] * len(p)] * n_rows  # one shared row, never written
+    return floors.tolist(), ceils.tolist(), keys
 
 
-def _pick_cons(cands, counts, pools, p, ce):
-    """Minimal ceil-quota pressure ce[a] / p[a]; ties by next score, then index.
+def _pick(cands, counts, pools, key):
+    """Lowest key[a] among cands, then the higher next score, then the lower index.
 
     Exhausted attributes lose score ties but can still win outright on the
-    pressure key; in that case the rule's demand cannot be served and None
-    is returned.
+    key; in that case the demand cannot be served and None is returned.
     """
     best = None
-    best_key = None
+    best_key = best_score = None
     for a in cands:
         c = counts[a]
         score = pools[a][c] if c < len(pools[a]) else _NEG_INF
-        key = (ce[a] / p[a], -score, a)
-        if best_key is None or key < best_key:
-            best, best_key = a, key
+        ka = key[a]
+        if best is None or ka < best_key or (ka == best_key and score > best_score):
+            best, best_key, best_score = a, ka, score
     if best is not None and counts[best] >= len(pools[best]):
         return None
     return best
 
 
-def _pick_relaxed(cands, counts, pools, p, ce):
-    """Integerized pressure ceil(ce[a] / p[a]) groups cands; best score wins."""
-    levels = {a: ceil_quota(ce[a] / p[a]) for a in cands}
-    cutoff = min(levels.values())
-    return _pick_greedy([a for a in cands if levels[a] == cutoff], counts, pools, p, ce)
-
-
-_RULES = {
-    Algorithm.DET_GREEDY: _pick_greedy,
-    Algorithm.DET_CONS: _pick_cons,
-    Algorithm.DET_RELAXED: _pick_relaxed,
-}
-
-
-def _select(rule, counts, pools, p, fl, ce):
-    """One greedy-family selection step. Returns (phase, attribute or None).
-
-    Attributes below their floor are mandatory and served best-score-first;
-    only when none are does the algorithm-specific rule choose among
-    attributes below their ceiling.
-    """
-    below_min = [a for a in range(len(p)) if counts[a] < fl[a]]
-    if below_min:
-        return "min", _pick_greedy(below_min, counts, pools, p, ce)
-    below_max = [a for a in range(len(p)) if counts[a] < ce[a]]
-    if not below_max:
-        raise EmptyCandidateSets("no attribute below its ceiling quota")
-    return "max", rule(below_max, counts, pools, p, ce)
-
-
-def _choose_next(algorithm, k: int, proportions, counts, pools):
-    """Greedy-family decision for prefix length k given mid-ranking state.
-
-    Exposed for tests: proportions/counts/pools describe the state after
-    k - 1 selections; returns the attribute index the algorithm picks next,
-    or None when its demand cannot be served.
-    """
-    algo = coerce_algorithm(algorithm)
-    p = [float(x) for x in proportions]
-    fl = [floor_quota(k * x) for x in p]
-    ce = [ceil_quota(k * x) for x in p]
-    _, pick = _select(_RULES[algo], list(counts), pools, p, fl, ce)
-    return pick
-
-
-def _fallback_pick(rule, counts, pools, p, ce):
-    """Re-apply rule over widening sets of attributes with candidates left."""
-    available = [a for a in range(len(p)) if counts[a] < len(pools[a])]
+def _fallback_pick(counts, pools, ce, key):
+    """Re-apply _pick over widening sets of attributes with candidates left."""
+    available = [a for a in range(len(pools)) if counts[a] < len(pools[a])]
     for tier in ([a for a in available if counts[a] < ce[a]], available):
         if tier:
-            pick = rule(tier, counts, pools, p, ce)
-            if pick is not None:
-                return pick
+            return _pick(tier, counts, pools, key)
     raise EmptyCandidateSets("no attribute has remaining candidates")
 
 
 def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool) -> RankedList:
-    rule = _RULES[algorithm]
-    p = task.desired.proportions.tolist()
+    """Serve attributes below their floor by next score; otherwise _pick by key."""
     pools = [s.tolist() for s in task.pool.scores]
     k_max = task.k_max
-    products = np.outer(np.arange(1, k_max + 1, dtype=np.float64), task.desired.proportions)
-    floors = floor_quotas(products).tolist()
-    ceils = ceil_quotas(products).tolist()
+    n_attrs = len(pools)
+    floors, ceils, keys = _quota_tables(task.desired.proportions, k_max, algorithm)
+    no_key = [0] * n_attrs
 
-    counts = [0] * len(p)
+    counts = [0] * n_attrs
     out_attrs = np.empty(k_max, dtype=np.int64)
     out_scores = np.empty(k_max, dtype=np.float64)
     events = 0
     for k in range(1, k_max + 1):
         fl, ce = floors[k - 1], ceils[k - 1]
-        phase, pick = _select(rule, counts, pools, p, fl, ce)
+        cands = [a for a in range(n_attrs) if counts[a] < fl[a]]
+        key = no_key
+        if not cands:
+            cands = [a for a in range(n_attrs) if counts[a] < ce[a]]
+            if not cands:
+                raise EmptyCandidateSets("no attribute below its ceiling quota")
+            key = keys[k - 1]
+        pick = _pick(cands, counts, pools, key)
         if pick is None:
             if not fallback:
                 raise InsufficientCandidates(
                     f"{algorithm.value}: required attribute pool exhausted at position {k}"
                 )
-            phase_rule = _pick_greedy if phase == "min" else rule
-            pick = _fallback_pick(phase_rule, counts, pools, p, ce)
+            pick = _fallback_pick(counts, pools, ce, key)
             events += 1
         out_attrs[k - 1] = pick
         out_scores[k - 1] = pools[pick][counts[pick]]
@@ -235,16 +219,15 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
     has a movement bound allowing it to shift one position down. Multiple
     increments at one counter insert in descending next-score order.
     """
-    p = task.desired.proportions.tolist()
     pools = [s.tolist() for s in task.pool.scores]
     k_max = task.k_max
-    n_attrs = len(p)
+    n_attrs = len(pools)
     # floor quotas strictly exceed k - n_attrs, so the counter never needs
     # to run past k_max + n_attrs + 1 to fill k_max slots
     n_rows = k_max + n_attrs + 2
-    products = np.outer(np.arange(1, n_rows + 1, dtype=np.float64), task.desired.proportions)
-    floors = floor_quotas(products).tolist()
-    ceils = ceil_quotas(products).tolist()
+    floors, ceils, keys = _quota_tables(
+        task.desired.proportions, n_rows, Algorithm.DET_CONST_SORT
+    )
 
     counts = [0] * n_attrs
     out_attrs: list[int] = []
@@ -283,7 +266,7 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
         for a in serving:
             insert(a, k)
         for _ in starved:
-            insert(_fallback_pick(_pick_greedy, counts, pools, p, ceils[k - 1]), k)
+            insert(_fallback_pick(counts, pools, ceils[k - 1], keys[k - 1]), k)
             events += 1
         last_floor = fl
     if len(out_attrs) < k_max:

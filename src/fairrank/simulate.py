@@ -164,7 +164,6 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
     """Running means over distribution indices [lo, hi) for one num_attr."""
     counts = {a.value: 0 for a in config.algorithms}
     means = {a.value: np.zeros(_METRIC_WIDTH) for a in config.algorithms}
-    fails = {a.value: 0 for a in config.algorithms}
     for d in range(lo, hi):
         desired = gen_desired(num_attr, _rng(config.seed, num_attr, d))
         for r in range(config.replications):
@@ -175,9 +174,7 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
                 key = algo.value
                 counts[key] += 1
                 means[key] += (_metric_vector(report) - means[key]) / counts[key]
-            for algo in outcome.failures:
-                fails[algo.value] += 1
-    return counts, means, fails
+    return counts, means
 
 
 def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
@@ -197,7 +194,7 @@ def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
 
     # fold chunk partials in span order so merge order is jobs-independent
     folded: dict[tuple[int, Algorithm], list] = {}
-    for (num_attr, _, _), (counts, means, _) in zip(spans, results):
+    for (num_attr, _, _), (counts, means) in zip(spans, results):
         for algo in config.algorithms:
             c = counts[algo.value]
             if c == 0:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 
 import fairrank as fr
+from fairrank.quota import SNAP_TOL
 
 
 def make_task(desired, pools, k, allow_unsorted=False):
@@ -38,3 +41,15 @@ def random_task(rng, num_attr, pool_size=100, k=100):
 
 def spawn_rng(seed, *key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def ref_floor(x: float) -> int:
+    """floor(x), except that x within SNAP_TOL of an integer counts as it."""
+    r = round(x)
+    return r if abs(x - r) <= SNAP_TOL else math.floor(x)
+
+
+def ref_ceil(x: float) -> int:
+    """ceil(x), except that x within SNAP_TOL of an integer counts as it."""
+    r = round(x)
+    return r if abs(x - r) <= SNAP_TOL else math.ceil(x)

@@ -160,3 +160,44 @@ class TestRankedList:
     def test_malformed_row_rejected(self):
         with pytest.raises(fr.ValidationError):
             fr.RankedList.from_records([{"attribute": "a"}], ("a",))
+
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_out_of_range_attribute_index_rejected(self, index):
+        # -1 used to count as the last label, 2 reached `measure` as a raw
+        # IndexError, and 5 gave `proportions_at_k` a length-6 vector
+        with pytest.raises(fr.UnknownAttribute):
+            fr.RankedList(
+                labels=("a", "b"),
+                attributes=np.array([0, index], dtype=np.int64),
+                scores=np.array([0.9, 0.8]),
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN score used to come out of `measure` as ndcg = nan
+        with pytest.raises(fr.ValidationError):
+            fr.RankedList(
+                labels=("a", "b"),
+                attributes=np.array([0, 1], dtype=np.int64),
+                scores=np.array([0.9, bad]),
+            )
+        with pytest.raises(fr.ValidationError):
+            fr.RankedList.from_records(
+                [{"position": 1, "attribute": "a", "score": bad}], ("a", "b")
+            )
+
+    def test_attribute_and_score_lengths_must_agree(self):
+        # four attributes with two scores used to measure as a 4-long list
+        # with ndcg 1.0 over its 2 scores
+        with pytest.raises(fr.LengthMismatch):
+            fr.RankedList(
+                labels=("a", "b"),
+                attributes=np.array([0, 1, 0, 1], dtype=np.int64),
+                scores=np.array([0.9, 0.8]),
+            )
+
+    def test_empty_list_is_well_formed(self):
+        empty = fr.RankedList(
+            labels=("a",), attributes=np.empty(0, dtype=np.int64), scores=np.empty(0)
+        )
+        assert len(empty) == 0

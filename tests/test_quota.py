@@ -4,21 +4,20 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairrank.quota import ceil_quota, ceil_quotas, floor_quota, floor_quotas
+from conftest import ref_ceil, ref_floor
+from fairrank.quota import ceil_quotas, floor_quotas
+
+
+def quotas(x):
+    return floor_quotas(x).tolist(), ceil_quotas(x).tolist()
 
 
 def test_exact_integers_pass_through():
-    assert floor_quota(3.0) == 3
-    assert ceil_quota(3.0) == 3
-    assert floor_quota(0.0) == 0
-    assert ceil_quota(0.0) == 0
+    assert quotas([3.0, 0.0]) == ([3, 0], [3, 0])
 
 
 def test_plain_fractions():
-    assert floor_quota(2.5) == 2
-    assert ceil_quota(2.5) == 3
-    assert floor_quota(0.9999) == 0
-    assert ceil_quota(0.0001) == 1
+    assert quotas([2.5, 0.9999, 0.0001]) == ([2, 0, 0], [3, 1, 1])
 
 
 def test_snap_fixes_product_artifacts():
@@ -26,19 +25,19 @@ def test_snap_fixes_product_artifacts():
     # the integer that exact arithmetic would produce
     assert 90 * 0.7 < 63
     assert math.floor(90 * 0.7) == 62
-    assert floor_quota(90 * 0.7) == 63
+    assert floor_quotas([90 * 0.7]).tolist() == [63]
 
     assert 55 * (3 / 11) < 15
     assert math.floor(55 * (3 / 11)) == 14
-    assert floor_quota(55 * (3 / 11)) == 15
+    assert floor_quotas([55 * (3 / 11)]).tolist() == [15]
 
     assert 77 * (9 / 11) > 63
     assert math.ceil(77 * (9 / 11)) == 64
-    assert ceil_quota(77 * (9 / 11)) == 63
+    assert ceil_quotas([77 * (9 / 11)]).tolist() == [63]
 
     assert 108 * (7 / 12) > 63
     assert math.ceil(108 * (7 / 12)) == 64
-    assert ceil_quota(108 * (7 / 12)) == 63
+    assert ceil_quotas([108 * (7 / 12)]).tolist() == [63]
 
 
 def test_vectorized_matches_scalar():
@@ -47,17 +46,20 @@ def test_vectorized_matches_scalar():
     products = np.outer(ks, ps)
     floors = floor_quotas(products)
     ceils = ceil_quotas(products)
+    assert floors.shape == ceils.shape == products.shape
     assert floors.dtype == np.int64 and ceils.dtype == np.int64
     for i in range(products.shape[0]):
         for j in range(products.shape[1]):
-            assert floors[i, j] == floor_quota(products[i, j])
-            assert ceils[i, j] == ceil_quota(products[i, j])
+            x = float(products[i, j])
+            assert floors[i, j] == ref_floor(x)
+            assert ceils[i, j] == ref_ceil(x)
 
 
 @given(st.integers(1, 1000), st.floats(1e-3, 1.0))
 def test_floor_ceil_bracket(k, p):
     x = k * p
-    lo, hi = floor_quota(x), ceil_quota(x)
+    (lo,), (hi,) = quotas([x])
+    assert (lo, hi) == (ref_floor(x), ref_ceil(x))
     assert lo <= hi <= lo + 1
     assert abs(lo - x) < 1 + 1e-9
     assert abs(hi - x) < 1 + 1e-9

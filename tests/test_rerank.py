@@ -1,13 +1,35 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import fairrank as fr
-from conftest import make_task, random_task, spawn_rng
-from fairrank.quota import ceil_quota
-from fairrank.rerank import _choose_next
+from conftest import make_task, random_task, ref_ceil, spawn_rng
+from fairrank.rerank import Algorithm, _pick, _quota_tables
 
 GREEDY_FAMILY = ("detgreedy", "detcons", "detrelaxed")
 CONSTRAINED = GREEDY_FAMILY + ("detconstsort",)
+
+
+def exact_det_cons(task, pressure=lambda ce, q: ce / q):
+    """detcons in exact rationals, the proportions read as the decimals they print as."""
+    p = [Fraction(repr(float(x))) for x in task.desired.proportions]
+    pools = [s.tolist() for s in task.pool.scores]
+    counts = [0] * len(p)
+    out = []
+    for k in range(1, task.k_max + 1):
+        floors = [math.floor(k * q) for q in p]
+        ceils = [math.ceil(k * q) for q in p]
+        cands = [a for a in range(len(p)) if counts[a] < floors[a]]
+        keys = [0] * len(p)
+        if not cands:
+            cands = [a for a in range(len(p)) if counts[a] < ceils[a]]
+            keys = [pressure(ce, q) for ce, q in zip(ceils, p)]
+        a = min(cands, key=lambda a: (keys[a], -pools[a][counts[a]], a))
+        out.append(a)
+        counts[a] += 1
+    return out
 
 
 def balanced_task(k=4):
@@ -80,9 +102,42 @@ class TestDetConsAndRelaxed:
         ]
         counts = (5, 3, 1)
         p = (0.55, 0.30, 0.15)
-        assert _choose_next("detcons", 10, p, counts, pools) == 0
-        assert _choose_next("detrelaxed", 10, p, counts, pools) == 0
-        assert _choose_next("detgreedy", 10, p, counts, pools) == 2
+        for algo, expected in (("detcons", 0), ("detrelaxed", 0), ("detgreedy", 2)):
+            floors, ceils, keys = _quota_tables(p, 10, Algorithm(algo))
+            assert all(c >= f for c, f in zip(counts, floors[9]))
+            below_ceiling = [a for a in range(3) if counts[a] < ceils[9][a]]
+            assert _pick(below_ceiling, counts, pools, keys[9]) == expected
+
+    def test_equal_pressures_tie_on_score(self):
+        # under p = (0.05, 0.35, 0.6) at k = 59 every ceiling pressure
+        # ceil(k * p_a) / p_a is exactly 60, but in floats 21 / 0.35 gives
+        # 60.00000000000001; the tie must go to the best next score
+        p = (0.05, 0.35, 0.6)
+        _, ceils, keys = _quota_tables(p, 59, Algorithm.DET_CONS)
+        assert ceils[58] == [3, 21, 36]
+        assert ceils[58][1] / p[1] > ceils[58][0] / p[0] == 60.0
+        assert keys[58][0] == keys[58][1] == keys[58][2]
+        pools = [[0.5] * 3, [0.9] * 21, [0.7] * 36]
+        assert _pick([0, 1, 2], [2, 20, 35], pools, keys[58]) == 1
+
+    def test_decimal_mix_matches_exact_rational_reference(self):
+        p = (0.05, 0.35, 0.6)
+        rng = spawn_rng(59)
+        changed = 0
+        for trial in range(40):
+            k = int(rng.integers(20, 101))
+            pools = {
+                label: np.round(np.sort(rng.random(k))[::-1], 1).tolist()
+                for label in ("a", "b", "c")
+            }
+            task = make_task(dict(zip("abc", p)), pools, k)
+            expected = exact_det_cons(task)
+            ranked = fr.rank(task, "detcons")
+            assert ranked.attributes.tolist() == expected
+            float_keyed = exact_det_cons(task, pressure=lambda ce, q: ce / float(q))
+            changed += float_keyed != expected
+        # float-keyed pressures would get some of these rankings wrong
+        assert changed > 0
 
     @pytest.mark.parametrize("algo", ["detcons", "detrelaxed"])
     def test_single_attribute_equals_vanilla(self, algo):
@@ -197,7 +252,7 @@ class TestStructuralProperties:
             cum = fr.prefix_counts(ranked)
             for k in range(1, len(ranked) + 1):
                 for a in range(num_attr):
-                    assert cum[k - 1, a] <= ceil_quota(k * task.desired.proportions[a])
+                    assert cum[k - 1, a] <= ref_ceil(k * task.desired.proportions[a])
 
     @pytest.mark.parametrize("algo", GREEDY_FAMILY)
     def test_small_attribute_counts_always_feasible(self, algo):
