@@ -20,7 +20,8 @@ every prefix matches the desired distribution and grows with bias near the
 top of the list.
 
 ndcg uses gain = raw score and discount 1 / log2(position + 1); the ideal
-is the same-length prefix of descending-sorted scores.
+is the same-length prefix of descending-sorted scores. Negative gains are
+rejected, since they can put ndcg outside [0, 1].
 
 infeasible_index counts prefix lengths k where some attribute value sits
 below its floor quota floor(k * p_a); infeasible_count counts the individual
@@ -172,14 +173,19 @@ def ndcg(ranked, ideal_scores) -> float:
 
     `ranked` may be a RankedList or a raw score sequence. ideal_scores must
     be sorted non-increasing and at least as long as the list; typically the
-    descending sort of all candidate scores the list was drawn from.
+    descending sort of all candidate scores the list was drawn from. Gains
+    must be non-negative in the list and in the ideal prefix it is scored
+    against: a negative gain can push the ratio below 0 or above 1.
     """
     s = ranked.scores if isinstance(ranked, RankedList) else np.asarray(ranked, dtype=np.float64)
     ideal = np.asarray(ideal_scores, dtype=np.float64)
     if ideal.size < s.size:
         raise LengthMismatch(f"ideal has {ideal.size} scores, list has {s.size}")
+    prefix = ideal[: s.size]
+    if s.size and min(s.min(), prefix.min()) < 0:
+        raise ValidationError("ndcg needs non-negative scores in the list and its ideal prefix")
     num = dcg(s)
-    den = dcg(ideal[: s.size])
+    den = dcg(prefix)
     if den == 0.0:
         if num == 0.0:
             return 1.0

@@ -9,11 +9,11 @@ aggregated into AggregateRow records.
 Determinism: random streams use the Philox bit generator keyed by
 SeedSequence(seed, spawn_key=...) where the spawn key identifies the
 (num_attr, distribution index) for desired draws and (num_attr,
-distribution index, replication index) for pool draws. Work is split into
-fixed-size chunks of distribution indices independent of the worker count,
-and per-chunk running means merge in chunk order, so the output is
-byte-identical for any --jobs value. Tasks where an algorithm fails (e.g.
-InsufficientCandidates) are excluded from that cell's means; task_count
+distribution index, replication index) for pool draws. Each work unit
+returns one metric row per measured task; a cell's rows are concatenated
+in distribution order and averaged once, so the output is byte-identical
+for any --jobs value and any chunk size. Tasks where an algorithm fails
+(e.g. InsufficientCandidates) contribute no row to that cell; task_count
 records how many tasks each mean covers.
 """
 
@@ -36,7 +36,8 @@ CSV_HEADER = (
     "mean_min_skew,mean_max_skew,mean_ndkl,mean_ndcg,task_count"
 )
 
-# distribution indices per work unit; fixed so results don't depend on --jobs
+# distribution indices per work unit: sets how much work each pool task
+# carries, not the results
 _CHUNK = 64
 
 _METRIC_WIDTH = 6
@@ -146,35 +147,30 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     return TaskOutcome(reports, failures)
 
 
-def _metric_vector(report: MetricsReport) -> np.ndarray:
-    return np.array(
-        [
-            report.infeasible_index,
-            report.infeasible_count,
-            report.min_skew,
-            report.max_skew,
-            report.ndkl,
-            report.ndcg,
-        ],
-        dtype=np.float64,
+def _metric_row(report: MetricsReport) -> tuple[float, ...]:
+    return (
+        report.infeasible_index,
+        report.infeasible_count,
+        report.min_skew,
+        report.max_skew,
+        report.ndkl,
+        report.ndcg,
     )
 
 
 def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
-    """Running means over distribution indices [lo, hi) for one num_attr."""
-    counts = {a.value: 0 for a in config.algorithms}
-    means = {a.value: np.zeros(_METRIC_WIDTH) for a in config.algorithms}
+    """{algorithm: (tasks, 6) float64 per-task metric rows} over [lo, hi) of one num_attr."""
+    rows: dict[Algorithm, list] = {a: [] for a in config.algorithms}
     for d in range(lo, hi):
         desired = gen_desired(num_attr, _rng(config.seed, num_attr, d))
         for r in range(config.replications):
             pool = gen_pool(num_attr, config.pool_size, _rng(config.seed, num_attr, d, r))
             task = validate_task(RankingTask(desired=desired, pool=pool, k_max=config.k_max))
-            outcome = run_task(task, config.algorithms)
-            for algo, report in outcome.reports.items():
-                key = algo.value
-                counts[key] += 1
-                means[key] += (_metric_vector(report) - means[key]) / counts[key]
-    return counts, means
+            for algo, report in run_task(task, config.algorithms).reports.items():
+                rows[algo].append(_metric_row(report))
+    return {
+        a: np.array(r, dtype=np.float64).reshape(-1, _METRIC_WIDTH) for a, r in rows.items()
+    }
 
 
 def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
@@ -186,29 +182,21 @@ def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
         for num_attr in range(config.attr_min, config.attr_max + 1)
         for lo in range(0, config.num_distributions, _CHUNK)
     ]
-    if jobs == 1:
+    workers = min(jobs, len(spans))
+    if workers == 1:
         results = [_run_chunk(config, *span) for span in spans]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, repeat(config), *zip(*spans)))
-
-    # fold chunk partials in span order so merge order is jobs-independent
-    folded: dict[tuple[int, Algorithm], list] = {}
-    for (num_attr, _, _), (counts, means) in zip(spans, results):
-        for algo in config.algorithms:
-            c = counts[algo.value]
-            if c == 0:
-                continue
-            cell = folded.setdefault((num_attr, algo), [0, np.zeros(_METRIC_WIDTH)])
-            total = cell[0] + c
-            cell[1] += (means[algo.value] - cell[1]) * (c / total)
-            cell[0] = total
 
     rows = []
     for num_attr in range(config.attr_min, config.attr_max + 1):
         for algo in config.algorithms:
-            count, mean = folded.get((num_attr, algo), (0, np.zeros(_METRIC_WIDTH)))
-            rows.append(AggregateRow(num_attr, algo, *(float(x) for x in mean), count))
+            table = np.concatenate(
+                [chunk[algo] for (n, _, _), chunk in zip(spans, results) if n == num_attr]
+            )
+            mean = table.mean(axis=0) if len(table) else np.zeros(_METRIC_WIDTH)
+            rows.append(AggregateRow(num_attr, algo, *(float(x) for x in mean), len(table)))
     return rows
 
 

@@ -1,9 +1,16 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 import fairrank as fr
 from fairrank.quota import SNAP_TOL
+
+# tests that run `python -m fairrank` in a subprocess need the uninstalled
+# package too; pyproject's pythonpath only reaches this process
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def make_task(desired, pools, k, allow_unsorted=False):

@@ -3,7 +3,8 @@
 Each test covers one numbered acceptance criterion and prints a single
 ``criterion N: PASS|FAIL`` line (shown with ``-s`` or in failure reports).
 Criteria 4, 5, and 6 share one seeded simulation grid (1,000 distributions
-per alphabet size 2..10, pool of 100 per attribute, lists of length 100).
+per alphabet size 2..10, pool of 100 per attribute, lists of length 100);
+its CSV is also compared byte for byte with tests/data/default_grid.csv.
 
 One check fails by design rather than loosening its assertion:
 
@@ -27,6 +28,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,14 @@ def test_criterion_6_utility_ordering(grid):
     _report(6, ok, "baseline utility exactly 1.0; greedy utility tops both look-ahead variants")
     assert baseline_ok, "score-sorted ranking must have utility exactly 1.0"
     assert greedy_ok, "greedy mean utility fell below a look-ahead variant's"
+
+
+def test_default_grid_csv_matches_golden(grid, tmp_path):
+    # tests/data/default_grid.csv is `fairrank simulate` output at all defaults
+    path = tmp_path / "grid.csv"
+    fr.write_csv(list(grid.values()), path)
+    golden = Path(__file__).parent / "data" / "default_grid.csv"
+    assert path.read_bytes() == golden.read_bytes()
 
 
 def _naive_ndkl(sequence, proportions):

@@ -156,6 +156,15 @@ class TestMeasureCommand:
         records = [{"position": 1, "attribute": "a", "score": 0.5}]
         assert self.measure(tmp_path, records, {"a": 0.7, "b": 0.7}).returncode == 2
 
+    def test_negative_score_rejected(self, tmp_path):
+        records = [
+            {"position": 1, "attribute": "a", "score": 0.5},
+            {"position": 2, "attribute": "b", "score": -0.5},
+        ]
+        result = self.measure(tmp_path, records, {"a": 0.5, "b": 0.5})
+        assert result.returncode == 2
+        assert result.stdout == ""
+
     def test_depth_flag_out_of_range_rejected(self, tmp_path):
         records = [{"position": 1, "attribute": "a", "score": 0.5}]
         result = self.measure(tmp_path, records, {"a": 1.0}, "--k", "9")

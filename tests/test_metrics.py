@@ -200,6 +200,22 @@ class TestNdcg:
         ranked = make_ranked("ab", ("a", "b"), scores=[0.9, 0.8])
         assert fr.ndcg(ranked, [0.9, 0.8]) == 1.0
 
+    @pytest.mark.parametrize(
+        "scores, ideal",
+        [
+            ([1.0, -2.0, 0.5], [1.0, 0.5, -2.0]),  # raw ratio -0.0376
+            ([-2.0, -1.0], [-1.0, -2.0]),  # raw ratio 1.163, above 1
+            ([0.5, -1.0], [0.5, 0.4, 0.3]),  # negative in the list only
+            ([0.5, 0.0], [0.5, -1.0]),  # negative in the ideal prefix only
+        ],
+    )
+    def test_negative_gain_rejected(self, scores, ideal):
+        with pytest.raises(fr.ValidationError):
+            fr.ndcg(scores, ideal)
+
+    def test_negative_ideal_beyond_prefix_ignored(self):
+        assert fr.ndcg([0.9, 0.8], [0.9, 0.8, -1.0]) == 1.0
+
 
 class TestInfeasibility:
     def test_table_style_trace(self):
@@ -302,3 +318,8 @@ class TestMeasure:
         empty = fr.RankedList.from_records([], ("a", "b"))
         with pytest.raises(fr.ValidationError):
             fr.measure(empty, HALF)
+
+    def test_negative_score_rejected(self):
+        ranked = make_ranked("ab", ("a", "b"), scores=[0.9, -0.2])
+        with pytest.raises(fr.ValidationError):
+            fr.measure(ranked, HALF)

@@ -3,6 +3,7 @@ import pytest
 
 import fairrank as fr
 from conftest import make_task, spawn_rng
+from fairrank import simulate
 from fairrank.simulate import CSV_HEADER
 
 
@@ -139,6 +140,48 @@ class TestRunGrid:
     def test_bad_jobs_rejected(self):
         with pytest.raises(fr.InvalidConfig):
             fr.run_grid(fr.SimulationConfig(**SMALL), jobs=0)
+
+    def test_rows_independent_of_chunk_size(self, monkeypatch):
+        config = fr.SimulationConfig(
+            attr_min=2, attr_max=4, num_distributions=150, pool_size=30, k_max=30, seed=42
+        )
+        by_chunk = {}
+        for chunk in (1, 7, 64, 1000):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            by_chunk[chunk] = fr.run_grid(config)
+        for chunk in (1, 7, 1000):
+            differing = [
+                (a.num_attr, a.algorithm.value)
+                for a, b in zip(by_chunk[64], by_chunk[chunk])
+                if a != b
+            ]
+            assert not differing, f"chunk {chunk} changed rows {differing}"
+
+    def test_workers_capped_at_work_units(self, monkeypatch):
+        opened = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialExecutor)
+        # two sizes of one chunk each: two work units
+        config = fr.SimulationConfig(**{**SMALL, "num_distributions": 4})
+        assert fr.run_grid(config, jobs=5000) == fr.run_grid(config)
+        assert opened == [2]
+        # a single work unit runs in this process
+        single = fr.SimulationConfig(**{**SMALL, "attr_max": 2, "num_distributions": 1})
+        fr.run_grid(single, jobs=5000)
+        assert opened == [2]
 
     def test_replications_extend_pool_stream_only(self):
         base = fr.SimulationConfig(**{**SMALL, "attr_max": 2, "num_distributions": 5})
