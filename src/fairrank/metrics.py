@@ -21,7 +21,10 @@ top of the list.
 
 ndcg uses gain = raw score and discount 1 / log2(position + 1); the ideal
 is the same-length prefix of descending-sorted scores. Negative gains are
-rejected, since they can put ndcg outside [0, 1].
+rejected, since they can put ndcg outside [0, 1], and so are NaN or
+infinite gains and an ideal score vector that is not sorted descending.
+measure and simulate.run_task share one core that measures a batch of
+lists of one length at once; measure is its batch of one.
 
 infeasible_index counts prefix lengths k where some attribute value sits
 below its floor quota floor(k * p_a); infeasible_count counts the individual
@@ -134,14 +137,14 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[positive] * np.log(p[positive] / q[positive])))
 
 
-def _ndkl_from_counts(cum: np.ndarray, p: np.ndarray) -> float:
-    ks = np.arange(1, cum.shape[0] + 1, dtype=np.float64)
+def _ndkl_from_counts(cum: np.ndarray, p: np.ndarray, ks, discount) -> np.ndarray:
+    """NDKL of (..., n, num_attrs) prefix counts; ks = 1..n, discount = log2(ks + 1)."""
     observed = cum / ks[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logratio = np.log(observed / p)
-        terms = np.where(observed > 0, observed * logratio, 0.0)
-    weights = 1.0 / np.log2(ks + 1)
-    return float((terms.sum(axis=1) * weights).sum() / weights.sum())
+    # a zero share gets ratio 1, so its term is 0 * log(1) = 0 with no warning
+    ratio = np.divide(observed, p, out=np.ones_like(observed), where=observed > 0)
+    terms = observed * np.log(ratio)
+    weights = 1.0 / discount
+    return (terms.sum(axis=-1) * weights).sum(axis=-1) / weights.sum()
 
 
 def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
@@ -157,7 +160,8 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     present = np.bincount(ranked.attributes, minlength=len(p)) > 0
     if np.any(present & (p <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
-    return _ndkl_from_counts(prefix_counts(ranked), p)
+    ks = np.arange(1.0, len(ranked) + 1)
+    return float(_ndkl_from_counts(prefix_counts(ranked), p, ks, np.log2(ks + 1)))
 
 
 def dcg(scores) -> float:
@@ -168,47 +172,53 @@ def dcg(scores) -> float:
     return float((s / np.log2(np.arange(2, s.size + 2))).sum())
 
 
+def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
+    """ndcg of each row of s (m, n) against the first n ideal scores; discount[i] = log2(i + 2)."""
+    n = s.shape[1]
+    ideal = np.asarray(ideal_scores, dtype=np.float64)
+    if ideal.size < n:
+        raise LengthMismatch(f"ideal has {ideal.size} scores, list has {n}")
+    if not (ideal[:-1] >= ideal[1:]).all():
+        raise ValidationError("ideal scores must be sorted non-increasing, with no NaN")
+    if n == 0:
+        return np.ones(len(s))
+    prefix = ideal[:n]
+    # a sorted prefix has its min last and its max first; NaN fails every comparison
+    if not (0 <= s.min() and 0 <= prefix[-1] and s.max() < np.inf and prefix[0] < np.inf):
+        raise ValidationError("ndcg needs finite, non-negative gains in the list and ideal prefix")
+    num = (s / discount).sum(axis=1)
+    den = (prefix / discount).sum()
+    if den == 0.0 and num.any():
+        raise ZeroDenominator("ideal DCG is zero but the list has positive gain")
+    return num / den if den else np.ones(len(s))
+
+
 def ndcg(ranked, ideal_scores) -> float:
     """DCG of the list over DCG of the same-length ideal prefix.
 
     `ranked` may be a RankedList or a raw score sequence. ideal_scores must
     be sorted non-increasing and at least as long as the list; typically the
     descending sort of all candidate scores the list was drawn from. Gains
-    must be non-negative in the list and in the ideal prefix it is scored
-    against: a negative gain can push the ratio below 0 or above 1.
+    in the list and in the ideal prefix it is scored against must be finite
+    and non-negative (a negative gain can push the ratio below 0 or above
+    1). Violations raise ValidationError.
     """
     s = ranked.scores if isinstance(ranked, RankedList) else np.asarray(ranked, dtype=np.float64)
-    ideal = np.asarray(ideal_scores, dtype=np.float64)
-    if ideal.size < s.size:
-        raise LengthMismatch(f"ideal has {ideal.size} scores, list has {s.size}")
-    prefix = ideal[: s.size]
-    if s.size and min(s.min(), prefix.min()) < 0:
-        raise ValidationError("ndcg needs non-negative scores in the list and its ideal prefix")
-    num = dcg(s)
-    den = dcg(prefix)
-    if den == 0.0:
-        if num == 0.0:
-            return 1.0
-        raise ZeroDenominator("ideal DCG is zero but the list has positive gain")
-    return num / den
+    discount = np.log2(np.arange(2, s.size + 2))
+    return float(_ndcg_rows(s.reshape(1, -1), ideal_scores, discount)[0])
 
 
-def _floor_violations(cum: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(n, num_attrs) mask of counts below floor(k * p_a); row i is k = i + 1."""
-    ks = np.arange(1, cum.shape[0] + 1, dtype=np.float64)
+def _floor_violations(cum: np.ndarray, p: np.ndarray, ks) -> np.ndarray:
+    """Mask of (..., n, num_attrs) prefix counts below floor(k * p_a); row i is k = ks[i]."""
     return cum < floor_quotas(np.outer(ks, p))
-
-
-def _infeasibility_from_counts(cum: np.ndarray, p: np.ndarray) -> tuple[int, int]:
-    violations = _floor_violations(cum, p)
-    return int(violations.any(axis=1).sum()), int(violations.sum())
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
     _check_alignment(ranked, desired)
     p = np.asarray(desired.proportions, dtype=np.float64)
-    return np.flatnonzero(_floor_violations(prefix_counts(ranked), p).any(axis=1)) + 1
+    ks = np.arange(1.0, len(ranked) + 1)
+    return np.flatnonzero(_floor_violations(prefix_counts(ranked), p, ks).any(axis=1)) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -220,7 +230,7 @@ def infeasible_count(ranked: RankedList, desired: DesiredDistribution) -> int:
     """Number of (attribute, prefix length) floor-quota violations."""
     _check_alignment(ranked, desired)
     p = np.asarray(desired.proportions, dtype=np.float64)
-    return _infeasibility_from_counts(prefix_counts(ranked), p)[1]
+    return int(_floor_violations(prefix_counts(ranked), p, np.arange(1.0, len(ranked) + 1)).sum())
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,35 @@ class MetricsReport:
         }
 
 
+def _reports(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal) -> list[MetricsReport]:
+    """MetricsReports of m lists of one length, measured together at depth k.
+
+    cum holds their (m, n, num_attrs) prefix counts, scores their (m, n)
+    scores, and ideal is the one ideal score vector for all of them. Every
+    reduction runs along the last axis in the single-list order, so a
+    list's report is bit-identical in a batch of one or of many.
+    """
+    p = np.asarray(desired.proportions, dtype=np.float64)
+    if p.min() <= 0:
+        raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
+    ks = np.arange(1.0, cum.shape[1] + 1)
+    discount = np.log2(ks + 1)
+    ndcg_rows = _ndcg_rows(scores[:, :k], ideal, discount[:k])
+    ndkl_rows = _ndkl_from_counts(cum, p, ks, discount)
+    violations = _floor_violations(cum, p, ks)
+    index_rows = violations.any(axis=2).sum(axis=1)
+    count_rows = violations.sum(axis=(1, 2))
+    skew = _skews(cum[:, k - 1] / k, k, p)
+    lows, highs = skew.min(axis=1), skew.max(axis=1)
+    return [
+        MetricsReport(
+            tuple(desired.labels), skew[j], min(float(lows[j]), 0.0), max(float(highs[j]), 0.0),
+            float(ndkl_rows[j]), float(ndcg_rows[j]), int(index_rows[j]), int(count_rows[j]), k,
+        )
+        for j in range(len(cum))
+    ]
+
+
 def measure(
     ranked: RankedList,
     desired: DesiredDistribution,
@@ -277,29 +316,5 @@ def measure(
     if n == 0:
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
-
-    p = np.asarray(desired.proportions, dtype=np.float64)
-    if np.any(p <= 0):
-        raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
-    cum = prefix_counts(ranked)
-
-    skew = _skews(cum[k - 1] / k, k, p)
-
-    if ideal_scores is None:
-        ideal = np.sort(ranked.scores)[::-1]
-    else:
-        ideal = np.asarray(ideal_scores, dtype=np.float64)
-        if ideal.size < k:
-            raise LengthMismatch(f"ideal has {ideal.size} scores, depth is {k}")
-    ii, ic = _infeasibility_from_counts(cum, p)
-    return MetricsReport(
-        labels=tuple(ranked.labels),
-        skew=skew,
-        min_skew=min(float(skew.min()), 0.0),
-        max_skew=max(float(skew.max()), 0.0),
-        ndkl=_ndkl_from_counts(cum, p),
-        ndcg=ndcg(ranked.scores[:k], ideal),
-        infeasible_index=ii,
-        infeasible_count=ic,
-        k=k,
-    )
+    ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
+    return _reports(prefix_counts(ranked)[None], ranked.scores[None], desired, k, ideal)[0]

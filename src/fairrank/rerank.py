@@ -27,22 +27,24 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
   bound equal to the counter value, then swapped toward the front while the
   left neighbor has a lower score and may still sit that far down.
 
-detgreedy, detcons and detrelaxed share one selection step. Each task gets
-a (k_max, n) key table, built with numpy before the position loop (zeros
-for detgreedy, pressure classes for detcons, levels for detrelaxed), and
-_pick takes the lowest key, then the higher next score, then the lower
-index, over the attributes below their floor (with a zero key) or else
-below their ceiling.
+Every selection goes through one kernel, _pick(counts, limit, nxt, key):
+over the attributes with counts[a] < limit[a] it takes the lowest key,
+then the higher next score nxt[a], then the lower index. Each pool is a
+list ending in a -inf sentinel and nxt[a] advances only when a wins, so
+nxt[a] == -inf marks an exhausted pool. detgreedy, detcons and detrelaxed
+call _pick with the floor row and a zero key, then, when no attribute is
+below its floor, with the ceiling row and the task's key row (zeros for
+detgreedy, pressure classes for detcons, levels for detrelaxed), all built
+with numpy before the position loop.
 
 Every tie anywhere resolves by ascending attribute index (the order labels
 appear in the desired distribution), which makes all algorithms fully
 deterministic.
 
 When an algorithm demands an attribute whose pool is exhausted it raises
-InsufficientCandidates. With fallback=True it instead re-applies _pick with
-the step's key (zeros for detconstsort) over widening candidate sets
-(below-ceiling attributes with candidates remaining, then any attribute with
-candidates remaining) and counts each substitution in
+InsufficientCandidates. With fallback=True it instead calls _pick again with
+the step's key (zeros for detconstsort), limited first by min(ceiling, pool
+length) and then by the pool length alone, and counts each substitution in
 RankedList.fallback_events.
 """
 
@@ -80,7 +82,8 @@ def coerce_algorithm(value) -> Algorithm:
         raise UnknownAlgorithm(f"unknown algorithm {value!r}; expected one of: {names}") from None
 
 
-_NEG_INF = float("-inf")
+_INF = float("inf")
+_NEG_INF = -_INF
 
 
 def _quota_tables(proportions, n_rows: int, algorithm: Algorithm):
@@ -112,70 +115,70 @@ def _quota_tables(proportions, n_rows: int, algorithm: Algorithm):
     return floors.tolist(), ceils.tolist(), keys
 
 
-def _pick(cands, counts, pools, key):
-    """Lowest key[a] among cands, then the higher next score, then the lower index.
+def _pick(counts, limit, nxt, key) -> int:
+    """Lowest key[a], then higher nxt[a], then lower a, over counts[a] < limit[a].
 
-    Exhausted attributes lose score ties but can still win outright on the
-    key; in that case the demand cannot be served and None is returned.
+    Returns -1 when no attribute qualifies. nxt[a] is -inf once a's pool is
+    exhausted, so an exhausted attribute loses every score tie but can
+    still win outright on the key.
     """
-    best = None
-    best_key = best_score = None
-    for a in cands:
-        c = counts[a]
-        score = pools[a][c] if c < len(pools[a]) else _NEG_INF
-        ka = key[a]
-        if best is None or ka < best_key or (ka == best_key and score > best_score):
-            best, best_key, best_score = a, ka, score
-    if best is not None and counts[best] >= len(pools[best]):
-        return None
+    best, best_key, best_score = -1, _INF, _NEG_INF
+    for a, c in enumerate(counts):
+        if c < limit[a]:
+            ka = key[a]
+            if ka < best_key or (ka == best_key and nxt[a] > best_score):
+                best, best_key, best_score = a, ka, nxt[a]
     return best
 
 
-def _fallback_pick(counts, pools, ce, key):
-    """Re-apply _pick over widening sets of attributes with candidates left."""
-    available = [a for a in range(len(pools)) if counts[a] < len(pools[a])]
-    for tier in ([a for a in available if counts[a] < ce[a]], available):
-        if tier:
-            return _pick(tier, counts, pools, key)
+def _fallback_pick(counts, pools, ce, nxt, key) -> int:
+    """_pick among below-ceiling attributes with candidates left, else any with some left."""
+    lens = [len(s) - 1 for s in pools]  # without the -inf sentinel
+    for limit in ([min(c, n) for c, n in zip(ce, lens)], lens):
+        pick = _pick(counts, limit, nxt, key)
+        if pick >= 0:
+            return pick
     raise EmptyCandidateSets("no attribute has remaining candidates")
 
 
 def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool) -> RankedList:
     """Serve attributes below their floor by next score; otherwise _pick by key."""
-    pools = [s.tolist() for s in task.pool.scores]
+    pools = [s.tolist() + [_NEG_INF] for s in task.pool.scores]
+    nxt = [s[0] for s in pools]
     k_max = task.k_max
-    n_attrs = len(pools)
     floors, ceils, keys = _quota_tables(task.desired.proportions, k_max, algorithm)
-    no_key = [0] * n_attrs
+    no_key = [0] * len(pools)
 
-    counts = [0] * n_attrs
-    out_attrs = np.empty(k_max, dtype=np.int64)
-    out_scores = np.empty(k_max, dtype=np.float64)
+    counts = [0] * len(pools)
+    out_attrs, out_scores = [], []
     events = 0
-    for k in range(1, k_max + 1):
-        fl, ce = floors[k - 1], ceils[k - 1]
-        cands = [a for a in range(n_attrs) if counts[a] < fl[a]]
+    for i in range(k_max):
         key = no_key
-        if not cands:
-            cands = [a for a in range(n_attrs) if counts[a] < ce[a]]
-            if not cands:
+        pick = _pick(counts, floors[i], nxt, key)
+        if pick < 0:
+            key = keys[i]
+            pick = _pick(counts, ceils[i], nxt, key)
+            if pick < 0:
                 raise EmptyCandidateSets("no attribute below its ceiling quota")
-            key = keys[k - 1]
-        pick = _pick(cands, counts, pools, key)
-        if pick is None:
+        if nxt[pick] == _NEG_INF:
             if not fallback:
                 raise InsufficientCandidates(
-                    f"{algorithm.value}: required attribute pool exhausted at position {k}"
+                    f"{algorithm.value}: required attribute pool exhausted at position {i + 1}"
                 )
-            pick = _fallback_pick(counts, pools, ce, key)
+            pick = _fallback_pick(counts, pools, ceils[i], nxt, key)
             events += 1
-        out_attrs[k - 1] = pick
-        out_scores[k - 1] = pools[pick][counts[pick]]
+        out_attrs.append(pick)
+        out_scores.append(nxt[pick])
         counts[pick] += 1
+        nxt[pick] = pools[pick][counts[pick]]
+    return _ranked(task, out_attrs, out_scores, events)
+
+
+def _ranked(task: RankingTask, attrs, scores, events: int = 0) -> RankedList:
     return RankedList(
         labels=task.desired.labels,
-        attributes=_freeze(out_attrs),
-        scores=_freeze(out_scores),
+        attributes=_freeze(np.asarray(attrs, dtype=np.int64)),
+        scores=_freeze(np.asarray(scores, dtype=np.float64)),
         fallback_events=events,
     )
 
@@ -187,11 +190,7 @@ def rank_vanilla(task: RankingTask) -> RankedList:
     attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     pool_pos = np.concatenate([np.arange(n, dtype=np.int64) for n in lengths])
     order = np.lexsort((pool_pos, attrs, -scores))[: task.k_max]
-    return RankedList(
-        labels=task.desired.labels,
-        attributes=_freeze(attrs[order]),
-        scores=_freeze(scores[order]),
-    )
+    return _ranked(task, attrs[order], scores[order])
 
 
 def rank_det_greedy(task: RankingTask, fallback: bool = False) -> RankedList:
@@ -219,64 +218,56 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
     has a movement bound allowing it to shift one position down. Multiple
     increments at one counter insert in descending next-score order.
     """
-    pools = [s.tolist() for s in task.pool.scores]
+    pools = [s.tolist() + [_NEG_INF] for s in task.pool.scores]
+    nxt = [s[0] for s in pools]
     k_max = task.k_max
     n_attrs = len(pools)
     # floor quotas strictly exceed k - n_attrs, so the counter never needs
     # to run past k_max + n_attrs + 1 to fill k_max slots
     n_rows = k_max + n_attrs + 2
-    floors, ceils, keys = _quota_tables(
-        task.desired.proportions, n_rows, Algorithm.DET_CONST_SORT
-    )
+    floors, ceils, keys = _quota_tables(task.desired.proportions, n_rows, Algorithm.DET_CONST_SORT)
 
     counts = [0] * n_attrs
-    out_attrs: list[int] = []
-    out_scores: list[float] = []
-    bounds: list[int] = []
+    ranked: list[tuple[float, int, int]] = []  # (score, movement bound, attribute)
     events = 0
 
     def insert(a: int, k: int) -> None:
-        out_attrs.append(a)
-        out_scores.append(pools[a][counts[a]])
-        bounds.append(k)
+        item = (nxt[a], k, a)
         counts[a] += 1
-        i = len(out_scores) - 1
-        while i > 0 and out_scores[i - 1] < out_scores[i] and bounds[i - 1] >= i + 1:
-            out_attrs[i - 1], out_attrs[i] = out_attrs[i], out_attrs[i - 1]
-            out_scores[i - 1], out_scores[i] = out_scores[i], out_scores[i - 1]
-            bounds[i - 1], bounds[i] = bounds[i], bounds[i - 1]
+        nxt[a] = pools[a][counts[a]]
+        ranked.append(item)
+        i = len(ranked) - 1
+        while i > 0 and ranked[i - 1][0] < item[0] and ranked[i - 1][1] >= i + 1:
+            ranked[i - 1], ranked[i] = item, ranked[i - 1]
             i -= 1
 
     last_floor = [0] * n_attrs
     for k in range(1, n_rows + 1):
-        if len(out_attrs) >= k_max:
+        if len(ranked) >= k_max:
             break
         fl = floors[k - 1]
         changed = [a for a in range(n_attrs) if fl[a] > last_floor[a]]
         if not changed:
             continue
-        serving = [a for a in changed if counts[a] < len(pools[a])]
-        starved = [a for a in changed if counts[a] >= len(pools[a])]
+        serving = [a for a in changed if nxt[a] != _NEG_INF]
+        starved = [a for a in changed if nxt[a] == _NEG_INF]
         if starved and not fallback:
             label = task.desired.labels[starved[0]]
             raise InsufficientCandidates(
                 f"detconstsort: pool for {label!r} exhausted at counter {k}"
             )
-        serving.sort(key=lambda a: (-pools[a][counts[a]], a))
+        # stable, so equal next scores keep ascending attribute order
+        serving.sort(key=nxt.__getitem__, reverse=True)
         for a in serving:
             insert(a, k)
         for _ in starved:
-            insert(_fallback_pick(counts, pools, ceils[k - 1], keys[k - 1]), k)
+            insert(_fallback_pick(counts, pools, ceils[k - 1], nxt, keys[k - 1]), k)
             events += 1
         last_floor = fl
-    if len(out_attrs) < k_max:
+    if len(ranked) < k_max:
         raise EmptyCandidateSets("quota counter exhausted before the list filled")
-    return RankedList(
-        labels=task.desired.labels,
-        attributes=_freeze(np.asarray(out_attrs[:k_max], dtype=np.int64)),
-        scores=_freeze(np.asarray(out_scores[:k_max], dtype=np.float64)),
-        fallback_events=events,
-    )
+    scores, _, attrs = zip(*ranked[:k_max])
+    return _ranked(task, attrs, scores, events)
 
 
 def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:

@@ -3,8 +3,8 @@
 For every attribute count in [attr_min, attr_max] the harness draws
 num_distributions random desired distributions; each is paired with
 `replications` fresh candidate pools, every configured algorithm ranks the
-resulting task, and the per-(num_attr, algorithm) means of the measures are
-aggregated into AggregateRow records.
+resulting task, run_task measures the task's rankings in one batch, and
+the per-(num_attr, algorithm) means are aggregated into AggregateRow records.
 
 Determinism: random streams use the Philox bit generator keyed by
 SeedSequence(seed, spawn_key=...) where the spawn key identifies the
@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
-from .metrics import MetricsReport, measure
-from .model import DesiredDistribution, RankingTask, ScoredPool, _freeze, validate_task
+from .metrics import MetricsReport, _reports, prefix_counts
+from .model import DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, validate_task
 from .rerank import _CANONICAL_ORDER, Algorithm, coerce_algorithm, rank
 
 CSV_HEADER = (
@@ -128,23 +128,29 @@ class TaskOutcome(NamedTuple):
 
 
 def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutcome:
-    """Rank one validated task with each algorithm and measure every result.
+    """Rank one validated task with each algorithm, then measure the rankings together.
 
-    ndcg is measured against the merged pools' descending score order, so
-    vanilla scores exactly 1.0. Algorithms that raise a RankingError land in
-    failures (exception class name) instead of reports.
+    The successful rankings go through the metrics core as one batch, at
+    depth k_max against the merged pools' descending score order `ideal`, so
+    vanilla scores exactly 1.0 and each report equals measure(ranked,
+    task.desired, ideal, task.k_max). Algorithms that raise a RankingError
+    land in failures (exception class name) instead of reports.
     """
-    ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-    reports: dict[Algorithm, MetricsReport] = {}
+    rankings: dict[Algorithm, RankedList] = {}
     failures: dict[Algorithm, str] = {}
     for algo in algorithms:
         algo = coerce_algorithm(algo)
         try:
-            ranked = rank(task, algo, fallback)
-            reports[algo] = measure(ranked, task.desired, ideal_scores=ideal, k=task.k_max)
+            rankings[algo] = rank(task, algo, fallback)
         except RankingError as exc:
             failures[algo] = type(exc).__name__
-    return TaskOutcome(reports, failures)
+    if not rankings:
+        return TaskOutcome({}, failures)
+    lists = rankings.values()
+    cum = np.stack([prefix_counts(r) for r in lists])
+    ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
+    reports = _reports(cum, np.stack([r.scores for r in lists]), task.desired, task.k_max, ideal)
+    return TaskOutcome(dict(zip(rankings, reports)), failures)
 
 
 def _metric_row(report: MetricsReport) -> tuple[float, ...]:

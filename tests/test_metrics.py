@@ -216,6 +216,33 @@ class TestNdcg:
     def test_negative_ideal_beyond_prefix_ignored(self):
         assert fr.ndcg([0.9, 0.8], [0.9, 0.8, -1.0]) == 1.0
 
+    @pytest.mark.parametrize(
+        "scores, ideal",
+        [
+            ([0.9], [0.1, 0.9]),  # raw ratio 9.0: the one-score prefix is not the top score
+            ([0.5, 0.4], [0.4, 0.5]),  # the prefix itself is unsorted
+            ([0.5], [1.0, math.nan]),  # NaN is unordered, even beyond the prefix
+        ],
+    )
+    def test_unsorted_ideal_rejected(self, scores, ideal):
+        with pytest.raises(fr.ValidationError):
+            fr.ndcg(scores, ideal)
+
+    @pytest.mark.parametrize(
+        "scores, ideal",
+        [
+            ([math.nan], [1.0]),  # raw ratio nan
+            ([math.inf], [1.0]),
+            ([0.5, math.nan], [1.0, 0.5]),
+            ([1.0], [math.nan]),
+            ([1.0], [math.inf]),  # raw ratio 0.0
+            ([1.0, 0.5], [math.inf, 1.0]),
+        ],
+    )
+    def test_non_finite_gain_rejected(self, scores, ideal):
+        with pytest.raises(fr.ValidationError):
+            fr.ndcg(scores, ideal)
+
 
 class TestInfeasibility:
     def test_table_style_trace(self):
@@ -323,3 +350,9 @@ class TestMeasure:
         ranked = make_ranked("ab", ("a", "b"), scores=[0.9, -0.2])
         with pytest.raises(fr.ValidationError):
             fr.measure(ranked, HALF)
+
+    @pytest.mark.parametrize("ideal", [[0.2, 0.9], [0.9, 0.2, 0.95], [math.inf, 0.9]])
+    def test_bad_ideal_rejected(self, ideal):
+        ranked = make_ranked("ab", ("a", "b"), scores=[0.9, 0.2])
+        with pytest.raises(fr.ValidationError):
+            fr.measure(ranked, HALF, ideal_scores=ideal)

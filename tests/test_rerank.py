@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairrank as fr
 from conftest import make_task, random_task, ref_ceil, spawn_rng
@@ -101,12 +103,13 @@ class TestDetConsAndRelaxed:
             [0.85, 0.8],
         ]
         counts = (5, 3, 1)
+        nxt = [pool[c] for pool, c in zip(pools, counts)]
         p = (0.55, 0.30, 0.15)
         for algo, expected in (("detcons", 0), ("detrelaxed", 0), ("detgreedy", 2)):
             floors, ceils, keys = _quota_tables(p, 10, Algorithm(algo))
             assert all(c >= f for c, f in zip(counts, floors[9]))
-            below_ceiling = [a for a in range(3) if counts[a] < ceils[9][a]]
-            assert _pick(below_ceiling, counts, pools, keys[9]) == expected
+            assert _pick(counts, floors[9], nxt, [0, 0, 0]) == -1
+            assert _pick(counts, ceils[9], nxt, keys[9]) == expected
 
     def test_equal_pressures_tie_on_score(self):
         # under p = (0.05, 0.35, 0.6) at k = 59 every ceiling pressure
@@ -117,8 +120,8 @@ class TestDetConsAndRelaxed:
         assert ceils[58] == [3, 21, 36]
         assert ceils[58][1] / p[1] > ceils[58][0] / p[0] == 60.0
         assert keys[58][0] == keys[58][1] == keys[58][2]
-        pools = [[0.5] * 3, [0.9] * 21, [0.7] * 36]
-        assert _pick([0, 1, 2], [2, 20, 35], pools, keys[58]) == 1
+        # next scores after counts (2, 20, 35), all below their ceilings
+        assert _pick([2, 20, 35], ceils[58], [0.5, 0.9, 0.7], keys[58]) == 1
 
     def test_decimal_mix_matches_exact_rational_reference(self):
         p = (0.05, 0.35, 0.6)
@@ -268,3 +271,85 @@ class TestStructuralProperties:
             task = random_task(spawn_rng(19, trial), num_attr, pool_size=60, k=60)
             ranked = fr.rank_det_const_sort(task)
             assert fr.infeasible_index(ranked, task.desired) == 0
+
+
+# a few repeated values make ties on score common; uniform floats make them rare
+_SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def small_tasks(draw):
+    """Validated tasks with 1-10 attributes, tiny uneven pools (some empty) and tied scores."""
+    n = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    pools = [
+        sorted(draw(st.lists(_SCORES, max_size=8)), reverse=True) for _ in range(n)
+    ]
+    if not any(pools):
+        pools[draw(st.integers(0, n - 1))] = [draw(_SCORES)]
+    k = draw(st.integers(1, sum(map(len, pools))))
+    labels = [f"a{i}" for i in range(n)]
+    total = sum(weights)
+    return make_task(
+        {a: w / total for a, w in zip(labels, weights)}, dict(zip(labels, pools)), k
+    )
+
+
+def rank_or_error(task, algo, fallback):
+    try:
+        return fr.rank(task, algo, fallback)
+    except fr.RankingError as exc:
+        return exc
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(small_tasks())
+    def test_length_pool_prefixes_and_fallback_events(self, task):
+        for algo in ("vanilla",) + CONSTRAINED:
+            strict = rank_or_error(task, algo, False)
+            relaxed = rank_or_error(task, algo, True)
+            for ranked in (strict, relaxed):
+                if isinstance(ranked, fr.RankingError):
+                    continue
+                assert len(ranked) == task.k_max
+                for a, pool in enumerate(task.pool.scores):
+                    emitted = ranked.scores[ranked.attributes == a].tolist()
+                    assert emitted == pool[: len(emitted)].tolist()
+            # fallback steps in exactly where the rule demands an exhausted pool
+            if isinstance(strict, fr.RankedList):
+                assert strict.fallback_events == relaxed.fallback_events == 0
+                assert strict.attributes.tolist() == relaxed.attributes.tolist()
+            else:
+                assert algo != "vanilla" and isinstance(strict, fr.InsufficientCandidates)
+                # detconstsort can still run out with fallback on
+                if not (algo == "detconstsort" and isinstance(relaxed, fr.EmptyCandidateSets)):
+                    assert relaxed.fallback_events > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_tasks())
+    def test_vanilla_is_the_lexicographic_merge(self, task):
+        merged = sorted(
+            (-score, a, i)
+            for a, pool in enumerate(task.pool.scores)
+            for i, score in enumerate(pool.tolist())
+        )[: task.k_max]
+        ranked = fr.rank_vanilla(task)
+        assert ranked.attributes.tolist() == [a for _, a, _ in merged]
+        assert ranked.scores.tolist() == [-neg for neg, _, _ in merged]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_tasks(), st.booleans())
+    def test_run_task_reports_equal_measure(self, task, fallback):
+        # run_task measures all rankings of a task in one batch; each report
+        # must equal measure's batch of one exactly, skew array included
+        outcome = fr.run_task(task, list(fr.Algorithm), fallback)
+        ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
+        assert fr.Algorithm.VANILLA in outcome.reports
+        for algo, report in outcome.reports.items():
+            single = fr.measure(
+                fr.rank(task, algo, fallback), task.desired, ideal_scores=ideal, k=task.k_max
+            )
+            assert report.to_dict() == single.to_dict()
+            assert report.skew.tobytes() == single.skew.tobytes()
+            assert report.labels == single.labels
