@@ -47,7 +47,7 @@ from .errors import (
     ZeroDenominator,
     ZeroDesiredProportion,
 )
-from .model import DesiredDistribution, RankedList
+from .model import DesiredDistribution, RankedList, _as_float_array, _is_int
 from .quota import floor_quotas
 
 SKEW_EPSILON = 1e-6
@@ -63,7 +63,7 @@ def _check_alignment(ranked: RankedList, desired: DesiredDistribution) -> None:
 
 
 def _check_depth(k, n: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1 or k > n:
+    if not _is_int(k) or k < 1 or k > n:
         raise KOutOfRange(f"k must be in 1..{n}, got {k!r}")
     return int(k)
 
@@ -99,13 +99,14 @@ def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.n
 
 
 def skew_at_k(ranked: RankedList, desired: DesiredDistribution, attr, k: int) -> float:
-    """Skew of one attribute value (by label or index) at depth k."""
+    """Skew of one attribute value (by label or integer index) at depth k."""
     if isinstance(attr, str):
         idx = desired.index_of(attr)
-    else:
+    elif _is_int(attr) and 0 <= attr < len(desired.labels):
         idx = int(attr)
-        if not 0 <= idx < len(desired.labels):
-            raise UnknownAttribute(f"attribute index {attr!r} out of range")
+    else:
+        n = len(desired.labels)
+        raise UnknownAttribute(f"attribute {attr!r} is not a label or an index in 0..{n - 1}")
     return float(skews_at_k(ranked, desired, k)[idx])
 
 
@@ -125,8 +126,8 @@ def kl_divergence(p, q) -> float:
     Terms with p_i = 0 contribute 0; q_i = 0 where p_i > 0 is undefined and
     raises ZeroDenominator.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p = _as_float_array(p, "p")
+    q = _as_float_array(q, "q")
     if p.shape != q.shape or p.ndim != 1:
         raise SupportMismatch(f"supports differ: {p.shape} vs {q.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))) or np.any(p < 0) or np.any(q < 0):
@@ -166,7 +167,7 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
 
 def dcg(scores) -> float:
     """Discounted cumulative gain with gain = raw score."""
-    s = np.asarray(scores, dtype=np.float64)
+    s = _as_float_array(scores, "scores")
     if s.size == 0:
         return 0.0
     return float((s / np.log2(np.arange(2, s.size + 2))).sum())
@@ -175,7 +176,7 @@ def dcg(scores) -> float:
 def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
     """ndcg of each row of s (m, n) against the first n ideal scores; discount[i] = log2(i + 2)."""
     n = s.shape[1]
-    ideal = np.asarray(ideal_scores, dtype=np.float64)
+    ideal = _as_float_array(ideal_scores, "ideal scores")
     if ideal.size < n:
         raise LengthMismatch(f"ideal has {ideal.size} scores, list has {n}")
     if not (ideal[:-1] >= ideal[1:]).all():
@@ -203,7 +204,7 @@ def ndcg(ranked, ideal_scores) -> float:
     and non-negative (a negative gain can push the ratio below 0 or above
     1). Violations raise ValidationError.
     """
-    s = ranked.scores if isinstance(ranked, RankedList) else np.asarray(ranked, dtype=np.float64)
+    s = ranked.scores if isinstance(ranked, RankedList) else _as_float_array(ranked, "scores")
     discount = np.log2(np.arange(2, s.size + 2))
     return float(_ndcg_rows(s.reshape(1, -1), ideal_scores, discount)[0])
 

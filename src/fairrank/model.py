@@ -33,9 +33,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_int(x) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_float_array(values, what: str) -> np.ndarray:
     try:
-        return np.asarray(list(values), dtype=np.float64)
+        return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be numeric: {exc}") from None
 
@@ -50,7 +55,7 @@ class DesiredDistribution:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> DesiredDistribution:
         labels = tuple(str(k) for k in mapping)
-        props = _as_float_array(mapping.values(), "desired proportions")
+        props = _as_float_array(list(mapping.values()), "desired proportions")
         return cls(labels=labels, proportions=_freeze(props))
 
     def as_mapping(self) -> dict[str, float]:
@@ -81,7 +86,7 @@ class ScoredPool:
     def from_mapping(cls, mapping: Mapping[str, Sequence[float]]) -> ScoredPool:
         labels = tuple(str(k) for k in mapping)
         scores = tuple(
-            _freeze(_as_float_array(v, f"pool scores for {k!r}")) for k, v in mapping.items()
+            _freeze(_as_float_array(list(v), f"pool scores for {k!r}")) for k, v in mapping.items()
         )
         return cls(labels=labels, scores=scores)
 
@@ -149,7 +154,10 @@ class RankedList:
         """
         rows = list(records)
         if rows and all(isinstance(r, Mapping) and "position" in r for r in rows):
-            rows.sort(key=lambda r: r["position"])
+            try:
+                rows.sort(key=lambda r: r["position"])
+            except TypeError as exc:
+                raise ValidationError(f"ranked row positions cannot be ordered: {exc}") from None
         label_index = {a: i for i, a in enumerate(labels)}
         attrs = np.empty(len(rows), dtype=np.int64)
         scores = np.empty(len(rows), dtype=np.float64)
@@ -159,9 +167,12 @@ class RankedList:
                 scores[i] = float(row["score"])
             except (TypeError, KeyError, ValueError) as exc:
                 raise ValidationError(f"ranked row {i}: {exc!r}") from None
-            if label not in label_index:
-                raise UnknownAttribute(f"attribute {label!r} is not in the desired distribution")
-            attrs[i] = label_index[label]
+            try:
+                attrs[i] = label_index[label]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                raise UnknownAttribute(
+                    f"attribute {label!r} is not in the desired distribution"
+                ) from None
         return cls(labels=tuple(labels), attributes=_freeze(attrs), scores=_freeze(scores))
 
 
@@ -175,7 +186,7 @@ def empirical_distribution(counts: Mapping[str, float]) -> DesiredDistribution:
     if not counts:
         raise AllZeroCounts("no counts given")
     labels = tuple(str(k) for k in counts)
-    values = _as_float_array(counts.values(), "counts")
+    values = _as_float_array(list(counts.values()), "counts")
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise ValidationError("counts must be finite and non-negative")
     total = values.sum()
@@ -230,6 +241,8 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
         if p == 0:
             continue
         scores = np.asarray(by_label.get(a, ()), dtype=np.float64)
+        if scores.ndim != 1:
+            raise ValidationError(f"pool for {a!r} must be a flat list of scores")
         if not np.all(np.isfinite(scores)):
             raise ValidationError(f"pool for {a!r} contains non-finite scores")
         if scores.size > 1 and np.any(np.diff(scores) > 0):

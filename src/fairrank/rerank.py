@@ -22,10 +22,10 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
 - detrelaxed: like detcons but compares ceil(ceil(k * p_a) / p_a), which
   groups attributes into coarser equivalence classes; within the argmin
   class the highest next score wins.
-- detconstsort: walks a virtual prefix counter; whenever an attribute's
-  floor quota increments, its next candidate is appended with a movement
-  bound equal to the counter value, then swapped toward the front while the
-  left neighbor has a lower score and may still sit that far down.
+- detconstsort: walks a virtual prefix counter k; at each k the attributes
+  whose floor quota rises append their next candidates, best next score
+  first, each with movement bound k and swapped toward the front while the
+  left neighbor scores lower and may still sit one position further down.
 
 Every selection goes through one kernel, _pick(counts, limit, nxt, key):
 over the attributes with counts[a] < limit[a] it takes the lowest key,
@@ -188,8 +188,7 @@ def rank_vanilla(task: RankingTask) -> RankedList:
     lengths = [len(s) for s in task.pool.scores]
     scores = np.concatenate(task.pool.scores)
     attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    pool_pos = np.concatenate([np.arange(n, dtype=np.int64) for n in lengths])
-    order = np.lexsort((pool_pos, attrs, -scores))[: task.k_max]
+    order = np.argsort(-scores, kind="stable")[: task.k_max]
     return _ranked(task, attrs[order], scores[order])
 
 
@@ -211,12 +210,11 @@ def rank_det_relaxed(task: RankingTask, fallback: bool = False) -> RankedList:
 def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList:
     """Insert candidates as floor quotas increment; sort back within movement bounds.
 
-    A virtual prefix counter k advances from 1. Whenever floor(k * p_a)
-    increments for some attribute a, the next candidate of a is appended
-    with movement bound k (1-based: it may never sit below position k), then
-    bubbled toward the front while the left neighbor both scores lower and
-    has a movement bound allowing it to shift one position down. Multiple
-    increments at one counter insert in descending next-score order.
+    A virtual prefix counter k advances from 1. At each k, the attributes
+    whose floor(k * p_a) rises append their next candidates in descending
+    next-score order, each with movement bound k (1-based: it may never sit
+    below position k), and bubble each toward the front while the left
+    neighbor both scores lower and may shift one position down.
     """
     pools = [s.tolist() + [_NEG_INF] for s in task.pool.scores]
     nxt = [s[0] for s in pools]
@@ -228,41 +226,32 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
     floors, ceils, keys = _quota_tables(task.desired.proportions, n_rows, Algorithm.DET_CONST_SORT)
 
     counts = [0] * n_attrs
+    last_floor = [0] * n_attrs
     ranked: list[tuple[float, int, int]] = []  # (score, movement bound, attribute)
     events = 0
-
-    def insert(a: int, k: int) -> None:
-        item = (nxt[a], k, a)
-        counts[a] += 1
-        nxt[a] = pools[a][counts[a]]
-        ranked.append(item)
-        i = len(ranked) - 1
-        while i > 0 and ranked[i - 1][0] < item[0] and ranked[i - 1][1] >= i + 1:
-            ranked[i - 1], ranked[i] = item, ranked[i - 1]
-            i -= 1
-
-    last_floor = [0] * n_attrs
     for k in range(1, n_rows + 1):
         if len(ranked) >= k_max:
             break
         fl = floors[k - 1]
-        changed = [a for a in range(n_attrs) if fl[a] > last_floor[a]]
-        if not changed:
-            continue
-        serving = [a for a in changed if nxt[a] != _NEG_INF]
-        starved = [a for a in changed if nxt[a] == _NEG_INF]
-        if starved and not fallback:
-            label = task.desired.labels[starved[0]]
-            raise InsufficientCandidates(
-                f"detconstsort: pool for {label!r} exhausted at counter {k}"
-            )
-        # stable, so equal next scores keep ascending attribute order
-        serving.sort(key=nxt.__getitem__, reverse=True)
-        for a in serving:
-            insert(a, k)
-        for _ in starved:
-            insert(_fallback_pick(counts, pools, ceils[k - 1], nxt, keys[k - 1]), k)
-            events += 1
+        # stable, so equal next scores keep ascending index; exhausted (-inf) go last
+        for a in sorted((a for a in range(n_attrs) if fl[a] > last_floor[a]),
+                        key=nxt.__getitem__, reverse=True):
+            if nxt[a] == _NEG_INF:
+                if not fallback:
+                    label = task.desired.labels[a]
+                    raise InsufficientCandidates(
+                        f"detconstsort: pool for {label!r} exhausted at counter {k}"
+                    )
+                a = _fallback_pick(counts, pools, ceils[k - 1], nxt, keys[k - 1])
+                events += 1
+            item = (nxt[a], k, a)
+            counts[a] += 1
+            nxt[a] = pools[a][counts[a]]
+            i = len(ranked)
+            ranked.append(item)
+            while i > 0 and ranked[i - 1][0] < item[0] and ranked[i - 1][1] > i:
+                ranked[i - 1], ranked[i] = item, ranked[i - 1]
+                i -= 1
         last_floor = fl
     if len(ranked) < k_max:
         raise EmptyCandidateSets("quota counter exhausted before the list filled")

@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
 from .metrics import MetricsReport, _reports, prefix_counts
-from .model import DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, validate_task
+from .model import (
+    DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int, validate_task,
+)
 from .rerank import _CANONICAL_ORDER, Algorithm, coerce_algorithm, rank
 
 CSV_HEADER = (
@@ -88,6 +90,11 @@ class SimulationConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("attr_min", "attr_max", "num_distributions", "replications", "pool_size",
+                     "k_max", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.attr_min < 2 or self.attr_max < self.attr_min:
             raise InvalidConfig(f"bad attribute range {self.attr_min}..{self.attr_max}")
         for name in ("num_distributions", "replications", "pool_size", "k_max"):
@@ -181,8 +188,8 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
 
 def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
     """Evaluate the whole grid; rows come back sorted by (num_attr, algorithm)."""
-    if jobs < 1:
-        raise InvalidConfig("jobs must be >= 1")
+    if not _is_int(jobs) or jobs < 1:
+        raise InvalidConfig(f"jobs must be an integer >= 1, got {jobs!r}")
     spans = [
         (num_attr, lo, min(lo + _CHUNK, config.num_distributions))
         for num_attr in range(config.attr_min, config.attr_max + 1)

@@ -22,6 +22,14 @@ def write_json(path, obj):
     return str(path)
 
 
+def assert_one_error_line(result):
+    """An input error: exit 2, no output and a single `error:` line on stderr."""
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
 @pytest.fixture
 def task_file(tmp_path):
     return write_json(tmp_path / "task.json", FOUR_GROUP_TASK)
@@ -82,6 +90,17 @@ class TestRerankCommand:
         path = write_json(tmp_path / "short.json", short)
         result = run_cli("rerank", "--input", path, "--algorithm", "vanilla")
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("algo", ["vanilla", "detconstsort"])
+    def test_nested_pool_rejected(self, tmp_path, algo):
+        # must fail validation (exit 2), not reach a ranker and exit 1 with a traceback
+        task = {
+            "k": 2,
+            "desired": {"a": 0.5, "b": 0.5},
+            "pools": {"a": [[0.9], [0.8]], "b": [0.7, 0.1]},
+        }
+        path = write_json(tmp_path / "nested.json", task)
+        assert_one_error_line(run_cli("rerank", "--input", path, "--algorithm", algo))
 
     def test_exhaustion_exit_code_and_fallback(self, task_file):
         result = run_cli("rerank", "--input", task_file, "--algorithm", "detcons")
@@ -164,6 +183,21 @@ class TestMeasureCommand:
         result = self.measure(tmp_path, records, {"a": 0.5, "b": 0.5})
         assert result.returncode == 2
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"position": 1, "attribute": ["a"], "score": 1}],
+            [
+                {"position": "x", "attribute": "a", "score": 0.9},
+                {"position": 1, "attribute": "b", "score": 0.8},
+            ],
+        ],
+        ids=["unhashable-label", "unorderable-positions"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, records):
+        # neither may escape as a TypeError traceback (exit 1)
+        assert_one_error_line(self.measure(tmp_path, records, {"a": 0.5, "b": 0.5}))
 
     def test_depth_flag_out_of_range_rejected(self, tmp_path):
         records = [{"position": 1, "attribute": "a", "score": 0.5}]

@@ -99,6 +99,17 @@ class TestSkew:
         with pytest.raises(fr.SupportMismatch):
             fr.skews_at_k(ranked, other, 2)
 
+    def test_numpy_integer_index_accepted(self):
+        ranked = make_ranked("aaab", ("a", "b"))
+        assert fr.skew_at_k(ranked, HALF, np.int64(1), 4) == fr.skew_at_k(ranked, HALF, "b", 4)
+
+    @pytest.mark.parametrize("attr", [None, 1.5, 1.0, True, ["a"], 2, -1])
+    def test_non_label_non_index_attribute_rejected(self, attr):
+        # None and ["a"] must not raise TypeError, and 1.5 must not read index 1
+        ranked = make_ranked("aaab", ("a", "b"))
+        with pytest.raises(fr.UnknownAttribute):
+            fr.skew_at_k(ranked, HALF, attr, 4)
+
 
 class TestKlDivergence:
     def test_identical_is_exactly_zero(self):
@@ -356,3 +367,24 @@ class TestMeasure:
         ranked = make_ranked("ab", ("a", "b"), scores=[0.9, 0.2])
         with pytest.raises(fr.ValidationError):
             fr.measure(ranked, HALF, ideal_scores=ideal)
+
+
+class TestNonNumericInputs:
+    # none of these may escape as a bare ValueError from np.asarray
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fr.ndcg(["x"], [1.0]),
+            lambda: fr.ndcg([1.0], ["x"]),
+            lambda: fr.dcg(["x"]),
+            lambda: fr.kl_divergence(["x"], [1.0]),
+            lambda: fr.kl_divergence([1.0], ["x"]),
+            lambda: fr.measure(
+                make_ranked("ab", ("a", "b"), scores=[0.9, 0.2]), HALF, ideal_scores=["x", "y"]
+            ),
+        ],
+        ids=["ndcg-list", "ndcg-ideal", "dcg", "kl-p", "kl-q", "measure-ideal"],
+    )
+    def test_rejected_as_validation_error(self, call):
+        with pytest.raises(fr.ValidationError, match="numeric"):
+            call()

@@ -96,6 +96,19 @@ class TestValidateTask:
         with pytest.raises(fr.ValidationError):
             make_task({"a": 1.0}, {"a": [float("inf")]}, 1)
 
+    @pytest.mark.parametrize("pool", [[[0.9], [0.8]], np.array([[0.9, 0.8]]), np.float64(0.9)])
+    def test_pool_that_is_not_flat_rejected(self, pool):
+        # a nested pool must fail here, not later in every ranker with a raw
+        # TypeError or ValueError
+        with pytest.raises(fr.ValidationError, match="flat"):
+            fr.validate_task(
+                fr.RankingTask(
+                    desired=fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5}),
+                    pool=fr.ScoredPool(labels=("a", "b"), scores=(pool, np.array([0.7, 0.1]))),
+                    k_max=2,
+                )
+            )
+
     def test_bad_k_rejected(self):
         for k in (0, -1, 1.5, "4", True):
             with pytest.raises(fr.ValidationError):
@@ -156,6 +169,23 @@ class TestRankedList:
             fr.RankedList.from_records(
                 [{"position": 1, "attribute": "zz", "score": 1.0}], ("a", "b")
             )
+
+    @pytest.mark.parametrize("label", [["a"], {"a": 1}])
+    def test_unhashable_label_rejected(self, label):
+        # the label lookup must not raise TypeError
+        with pytest.raises(fr.UnknownAttribute):
+            fr.RankedList.from_records(
+                [{"position": 1, "attribute": label, "score": 1.0}], ("a", "b")
+            )
+
+    def test_unorderable_positions_rejected(self):
+        # "x" and 1 cannot be compared; the sort must not raise TypeError
+        records = [
+            {"position": "x", "attribute": "a", "score": 0.9},
+            {"position": 1, "attribute": "b", "score": 0.8},
+        ]
+        with pytest.raises(fr.ValidationError, match="position"):
+            fr.RankedList.from_records(records, ("a", "b"))
 
     def test_malformed_row_rejected(self):
         with pytest.raises(fr.ValidationError):

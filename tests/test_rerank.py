@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrank as fr
-from conftest import make_task, random_task, ref_ceil, spawn_rng
+from conftest import make_task, random_task, ref_ceil, ref_floor, spawn_rng
 from fairrank.rerank import Algorithm, _pick, _quota_tables
 
 GREEDY_FAMILY = ("detgreedy", "detcons", "detrelaxed")
@@ -32,6 +32,58 @@ def exact_det_cons(task, pressure=lambda ce, q: ce / q):
         out.append(a)
         counts[a] += 1
     return out
+
+
+def ref_det_const_sort(task):
+    """DetConstSort as the paper writes it: (attributes, scores) of the top k_max.
+
+    A counter k advances from 1. Every attribute whose floor(k * p_a) rises
+    appends its next candidate with movement bound k, best next score first
+    (ties by index); each new candidate swaps with its left neighbor while
+    the neighbor scores lower and may sit one position (1-based) further
+    down. A rising attribute with no candidate left raises, naming the
+    lowest such index.
+    """
+    p = task.desired.proportions.tolist()
+    pools = [s.tolist() for s in task.pool.scores]
+    counts, min_counts = [0] * len(p), [0] * len(p)
+    attrs, scores, bounds = [], [], []
+    k = 0
+    while len(attrs) < task.k_max:
+        k += 1
+        floors = [ref_floor(k * q) for q in p]
+        changed = [a for a in range(len(p)) if floors[a] > min_counts[a]]
+        for a in changed:
+            if counts[a] == len(pools[a]):
+                label = task.desired.labels[a]
+                raise fr.InsufficientCandidates(
+                    f"detconstsort: pool for {label!r} exhausted at counter {k}"
+                )
+        for a in sorted(changed, key=lambda a: (-pools[a][counts[a]], a)):
+            attrs.append(a)
+            scores.append(pools[a][counts[a]])
+            bounds.append(k)
+            counts[a] += 1
+            j = len(attrs) - 1
+            while j > 0 and bounds[j - 1] >= j + 1 and scores[j - 1] < scores[j]:
+                for column in (attrs, scores, bounds):
+                    column[j - 1], column[j] = column[j], column[j - 1]
+                j -= 1
+        min_counts = floors
+    return attrs[: task.k_max], scores[: task.k_max]
+
+
+def assert_det_const_sort_matches_reference(task):
+    try:
+        expected = ref_det_const_sort(task)
+    except fr.InsufficientCandidates as exc:
+        with pytest.raises(fr.InsufficientCandidates) as raised:
+            fr.rank_det_const_sort(task)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    ranked = fr.rank_det_const_sort(task)
+    assert (ranked.attributes.tolist(), ranked.scores.tolist()) == expected
+    return None
 
 
 def balanced_task(k=4):
@@ -175,6 +227,16 @@ class TestDetConstSort:
         assert ranked.attribute_labels() == ["a2", "a2", "a1", "a1"]
         assert ranked.scores.tolist() == [0.2, 0.15, 0.1, 0.05]
         assert fr.infeasible_index(ranked, task.desired) == 0
+
+    def test_exhaustion_names_attribute_and_counter_like_the_reference(self):
+        # a1 and a2 rise together at counters 3 and 5; at 5 both are empty
+        error = assert_det_const_sort_matches_reference(four_group_task())
+        assert error == "detconstsort: pool for 'a1' exhausted at counter 5"
+
+    def test_random_tasks_match_reference(self):
+        for trial in range(90):
+            task = random_task(spawn_rng(23, trial), num_attr=2 + trial % 9)
+            assert assert_det_const_sort_matches_reference(task) is None
 
 
 class TestFallback:
@@ -325,6 +387,11 @@ class TestKernelProperties:
                 # detconstsort can still run out with fallback on
                 if not (algo == "detconstsort" and isinstance(relaxed, fr.EmptyCandidateSets)):
                     assert relaxed.fallback_events > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_tasks())
+    def test_det_const_sort_matches_reference(self, task):
+        assert_det_const_sort_matches_reference(task)
 
     @settings(max_examples=150, deadline=None)
     @given(small_tasks())

@@ -101,6 +101,19 @@ class TestConfig:
         with pytest.raises(fr.UnknownAlgorithm):
             fr.SimulationConfig(algorithms=("bogosort",))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("attr_min", "2"), ("attr_max", 4.0), ("num_distributions", 1.5),
+         ("replications", None), ("pool_size", True), ("k_max", 10.5), ("seed", "42")],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        # attr_min="2" must not raise TypeError, nor num_distributions=1.5 pass
+        with pytest.raises(fr.InvalidConfig, match=field):
+            fr.SimulationConfig(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        assert fr.SimulationConfig(attr_max=np.int64(4)).attr_max == 4
+
 
 SMALL = dict(
     attr_min=2,
@@ -138,8 +151,10 @@ class TestRunGrid:
         assert fr.run_grid(config, jobs=1) == fr.run_grid(config, jobs=2)
 
     def test_bad_jobs_rejected(self):
-        with pytest.raises(fr.InvalidConfig):
-            fr.run_grid(fr.SimulationConfig(**SMALL), jobs=0)
+        # "2" must not raise TypeError
+        for jobs in (0, "2", 1.5, None):
+            with pytest.raises(fr.InvalidConfig):
+                fr.run_grid(fr.SimulationConfig(**SMALL), jobs=jobs)
 
     def test_rows_independent_of_chunk_size(self, monkeypatch):
         config = fr.SimulationConfig(
