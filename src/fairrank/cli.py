@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import RankingError, ValidationError
 from .metrics import measure
-from .model import (
-    DesiredDistribution,
-    RankedList,
-    task_from_dict,
-    validate_distribution,
-    validate_task,
-)
+from .model import DesiredDistribution, RankedList, task_from_dict, validate_task
 from .rerank import Algorithm, rank
 from .simulate import SimulationConfig, run_grid, write_csv, write_diagnostics
 
@@ -72,7 +66,6 @@ def cmd_measure(args) -> int:
     desired = DesiredDistribution.from_mapping(
         {a: p for a, p in desired_map.items() if p != 0}
     )
-    validate_distribution(desired)
     ranked = RankedList.from_records(records, desired.labels)
 
     ideal = None

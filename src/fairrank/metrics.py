@@ -24,7 +24,8 @@ is the same-length prefix of descending-sorted scores. Negative gains are
 rejected, since they can put ndcg outside [0, 1], and so are NaN or
 infinite gains and an ideal score vector that is not sorted descending.
 measure and simulate.run_task share one core that measures a batch of
-lists of one length at once; measure is its batch of one.
+lists of one length at once and returns one column per measure; measure is
+its batch of one and the only place a MetricsReport is built.
 
 infeasible_index counts prefix lengths k where some attribute value sits
 below its floor quota floor(k * p_a); infeasible_count counts the individual
@@ -92,7 +93,7 @@ def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.n
     """Skew of every attribute value at depth k (natural log)."""
     _check_alignment(ranked, desired)
     k = _check_depth(k, len(ranked))
-    p = np.asarray(desired.proportions, dtype=np.float64)
+    p = desired.proportions
     if np.any(p <= 0):
         raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
     return _skews(proportions_at_k(ranked, k), k, p)
@@ -157,7 +158,7 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     _check_alignment(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
-    p = np.asarray(desired.proportions, dtype=np.float64)
+    p = desired.proportions
     present = np.bincount(ranked.attributes, minlength=len(p)) > 0
     if np.any(present & (p <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
@@ -165,9 +166,16 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     return float(_ndkl_from_counts(prefix_counts(ranked), p, ks, np.log2(ks + 1)))
 
 
+def _score_vector(values, what: str) -> np.ndarray:
+    s = _as_float_array(values, what)
+    if s.ndim != 1:
+        raise ValidationError(f"{what} must be a flat list of numbers, got shape {s.shape}")
+    return s
+
+
 def dcg(scores) -> float:
     """Discounted cumulative gain with gain = raw score."""
-    s = _as_float_array(scores, "scores")
+    s = _score_vector(scores, "scores")
     if s.size == 0:
         return 0.0
     return float((s / np.log2(np.arange(2, s.size + 2))).sum())
@@ -176,7 +184,7 @@ def dcg(scores) -> float:
 def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
     """ndcg of each row of s (m, n) against the first n ideal scores; discount[i] = log2(i + 2)."""
     n = s.shape[1]
-    ideal = _as_float_array(ideal_scores, "ideal scores")
+    ideal = _score_vector(ideal_scores, "ideal scores")
     if ideal.size < n:
         raise LengthMismatch(f"ideal has {ideal.size} scores, list has {n}")
     if not (ideal[:-1] >= ideal[1:]).all():
@@ -197,14 +205,14 @@ def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
 def ndcg(ranked, ideal_scores) -> float:
     """DCG of the list over DCG of the same-length ideal prefix.
 
-    `ranked` may be a RankedList or a raw score sequence. ideal_scores must
-    be sorted non-increasing and at least as long as the list; typically the
+    `ranked` may be a RankedList or a flat score sequence. ideal_scores must
+    be flat, sorted non-increasing and at least as long as the list; often the
     descending sort of all candidate scores the list was drawn from. Gains
     in the list and in the ideal prefix it is scored against must be finite
     and non-negative (a negative gain can push the ratio below 0 or above
     1). Violations raise ValidationError.
     """
-    s = ranked.scores if isinstance(ranked, RankedList) else _as_float_array(ranked, "scores")
+    s = ranked.scores if isinstance(ranked, RankedList) else _score_vector(ranked, "scores")
     discount = np.log2(np.arange(2, s.size + 2))
     return float(_ndcg_rows(s.reshape(1, -1), ideal_scores, discount)[0])
 
@@ -217,7 +225,7 @@ def _floor_violations(cum: np.ndarray, p: np.ndarray, ks) -> np.ndarray:
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
     _check_alignment(ranked, desired)
-    p = np.asarray(desired.proportions, dtype=np.float64)
+    p = desired.proportions
     ks = np.arange(1.0, len(ranked) + 1)
     return np.flatnonzero(_floor_violations(prefix_counts(ranked), p, ks).any(axis=1)) + 1
 
@@ -230,7 +238,7 @@ def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
 def infeasible_count(ranked: RankedList, desired: DesiredDistribution) -> int:
     """Number of (attribute, prefix length) floor-quota violations."""
     _check_alignment(ranked, desired)
-    p = np.asarray(desired.proportions, dtype=np.float64)
+    p = desired.proportions
     return int(_floor_violations(prefix_counts(ranked), p, np.arange(1.0, len(ranked) + 1)).sum())
 
 
@@ -270,33 +278,31 @@ class MetricsReport:
         }
 
 
-def _reports(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal) -> list[MetricsReport]:
-    """MetricsReports of m lists of one length, measured together at depth k.
+def _columns(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal):
+    """All measures of m lists of one length, taken together at depth k.
 
     cum holds their (m, n, num_attrs) prefix counts, scores their (m, n)
-    scores, and ideal is the one ideal score vector for all of them. Every
-    reduction runs along the last axis in the single-list order, so a
-    list's report is bit-identical in a batch of one or of many.
+    scores, and ideal is the one ideal score vector for all of them. Returns
+    the (m, num_attrs) skew matrix and one (m,) column per scalar measure,
+    in CSV order: infeasible_index, infeasible_count, min_skew, max_skew,
+    ndkl, ndcg. Every reduction runs along the last axis in the single-list
+    order, so a list's values are bit-identical in a batch of one or of many.
     """
-    p = np.asarray(desired.proportions, dtype=np.float64)
+    p = desired.proportions
     if p.min() <= 0:
         raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
     ks = np.arange(1.0, cum.shape[1] + 1)
     discount = np.log2(ks + 1)
-    ndcg_rows = _ndcg_rows(scores[:, :k], ideal, discount[:k])
-    ndkl_rows = _ndkl_from_counts(cum, p, ks, discount)
     violations = _floor_violations(cum, p, ks)
-    index_rows = violations.any(axis=2).sum(axis=1)
-    count_rows = violations.sum(axis=(1, 2))
     skew = _skews(cum[:, k - 1] / k, k, p)
-    lows, highs = skew.min(axis=1), skew.max(axis=1)
-    return [
-        MetricsReport(
-            tuple(desired.labels), skew[j], min(float(lows[j]), 0.0), max(float(highs[j]), 0.0),
-            float(ndkl_rows[j]), float(ndcg_rows[j]), int(index_rows[j]), int(count_rows[j]), k,
-        )
-        for j in range(len(cum))
-    ]
+    return skew, (
+        violations.any(axis=2).sum(axis=1),
+        violations.sum(axis=(1, 2)),
+        skew.min(axis=1, initial=0.0),
+        skew.max(axis=1, initial=0.0),
+        _ndkl_from_counts(cum, p, ks, discount),
+        _ndcg_rows(scores[:, :k], ideal, discount[:k]),
+    )
 
 
 def measure(
@@ -318,4 +324,6 @@ def measure(
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    return _reports(prefix_counts(ranked)[None], ranked.scores[None], desired, k, ideal)[0]
+    skew, columns = _columns(prefix_counts(ranked)[None], ranked.scores[None], desired, k, ideal)
+    index, count, low, high, div, gain = [column.item(0) for column in columns]
+    return MetricsReport(desired.labels, skew[0], low, high, div, gain, index, count, k)

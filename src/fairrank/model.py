@@ -3,9 +3,10 @@
 A ranking task is (desired distribution over attribute values, one
 score-sorted candidate pool per attribute value, target length k_max).
 Attribute values are identified positionally: index i everywhere refers to
-labels[i] of the task's desired distribution. validate_task() is the single
-entry point that turns raw inputs into the aligned, frozen form the
-algorithms and metrics assume.
+labels[i] of the task's desired distribution. DesiredDistribution and
+RankedList check themselves at construction, so the metrics can take any
+instance as well-formed; validate_task() then aligns a task's pools with its
+distribution into the frozen form the algorithms assume.
 """
 
 from __future__ import annotations
@@ -47,16 +48,36 @@ def _as_float_array(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesiredDistribution:
-    """Target proportions over attribute values, index-aligned with labels."""
+    """Target proportions over attribute values, index-aligned with labels.
+
+    Construction requires at least one label, unique labels, and one finite,
+    non-negative proportion per label summing to 1 within NORMALIZATION_TOL
+    (ValidationError or DistributionNotNormalized otherwise). It stores the
+    labels as a tuple and the proportions as a frozen float64 copy.
+    """
 
     labels: tuple[str, ...]
     proportions: np.ndarray
 
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        p = _freeze(_as_float_array(self.proportions, "desired proportions").copy())
+        if len(labels) == 0:
+            raise DistributionNotNormalized("distribution has no attribute values")
+        if len(set(labels)) != len(labels):
+            raise ValidationError("duplicate attribute labels in distribution")
+        if p.ndim != 1 or len(p) != len(labels):
+            raise ValidationError("proportions must be one value per label")
+        if not np.all(np.isfinite(p)) or np.any(p < 0):
+            raise DistributionNotNormalized("proportions must be finite and non-negative")
+        if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
+            raise DistributionNotNormalized(f"proportions sum to {float(p.sum()):.12f}, expected 1")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "proportions", p)
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> DesiredDistribution:
-        labels = tuple(str(k) for k in mapping)
-        props = _as_float_array(list(mapping.values()), "desired proportions")
-        return cls(labels=labels, proportions=_freeze(props))
+        return cls(labels=tuple(str(k) for k in mapping), proportions=list(mapping.values()))
 
     def as_mapping(self) -> dict[str, float]:
         return {a: float(p) for a, p in zip(self.labels, self.proportions)}
@@ -111,10 +132,11 @@ class RankedList:
     fallback_events counts positions where a constrained algorithm had to
     substitute an attribute because the one its rule demanded was exhausted.
 
-    Construction rejects attribute and score arrays of different lengths
-    (LengthMismatch), an attribute index outside 0..len(labels) - 1
-    (UnknownAttribute) and a non-finite score (ValidationError), so the
-    metrics can take any RankedList as well-formed.
+    Construction rejects attribute and score arrays of different shapes
+    (LengthMismatch), attributes that are not a flat array of integers (an
+    empty one may have any dtype) and non-finite scores (ValidationError),
+    and an attribute index outside 0..len(labels) - 1 (UnknownAttribute), so
+    the metrics can take any RankedList as well-formed.
     """
 
     labels: tuple[str, ...]
@@ -126,6 +148,8 @@ class RankedList:
         attrs = np.asarray(self.attributes)
         if attrs.shape != np.shape(self.scores):
             raise LengthMismatch(f"{attrs.size} attributes but {np.size(self.scores)} scores")
+        if attrs.ndim != 1 or (attrs.size and attrs.dtype.kind not in "iu"):
+            raise ValidationError(f"attributes must be 1-D integers, got {attrs.dtype} {attrs.shape}")
         if attrs.size and (attrs.min() < 0 or attrs.max() >= len(self.labels)):
             raise UnknownAttribute(f"attribute index outside 0..{len(self.labels) - 1}")
         if not np.isfinite(self.scores).all():
@@ -149,8 +173,8 @@ class RankedList:
         """Rebuild a RankedList from to_records()-shaped rows.
 
         Rows are ordered by their "position" key when every row has one,
-        otherwise taken in the given order. Attribute labels must appear in
-        `labels`.
+        otherwise taken in the given order; positions must then be distinct
+        and not NaN. Attribute labels must appear in `labels`.
         """
         rows = list(records)
         if rows and all(isinstance(r, Mapping) and "position" in r for r in rows):
@@ -158,6 +182,9 @@ class RankedList:
                 rows.sort(key=lambda r: r["position"])
             except TypeError as exc:
                 raise ValidationError(f"ranked row positions cannot be ordered: {exc}") from None
+            # NaN fails every comparison, so this also catches a NaN position
+            if not all(a["position"] < b["position"] for a, b in zip(rows, rows[1:])):
+                raise ValidationError("ranked row positions must be distinct and not NaN")
         label_index = {a: i for i, a in enumerate(labels)}
         attrs = np.empty(len(rows), dtype=np.int64)
         scores = np.empty(len(rows), dtype=np.float64)
@@ -192,22 +219,7 @@ def empirical_distribution(counts: Mapping[str, float]) -> DesiredDistribution:
     total = values.sum()
     if total <= 0:
         raise AllZeroCounts("counts sum to zero")
-    return DesiredDistribution(labels=labels, proportions=_freeze(values / total))
-
-
-def validate_distribution(dist: DesiredDistribution) -> None:
-    """Check labels are unique and proportions form a distribution."""
-    if len(dist.labels) == 0:
-        raise DistributionNotNormalized("distribution has no attribute values")
-    if len(set(dist.labels)) != len(dist.labels):
-        raise ValidationError("duplicate attribute labels in distribution")
-    p = np.asarray(dist.proportions, dtype=np.float64)
-    if p.ndim != 1 or len(p) != len(dist.labels):
-        raise ValidationError("proportions must be one value per label")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise DistributionNotNormalized("proportions must be finite and non-negative")
-    if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
-        raise DistributionNotNormalized(f"proportions sum to {float(p.sum()):.12f}, expected 1")
+    return DesiredDistribution(labels=labels, proportions=values / total)
 
 
 def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTask:
@@ -224,7 +236,6 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
     """
     if not isinstance(task.k_max, int) or isinstance(task.k_max, bool) or task.k_max < 1:
         raise ValidationError(f"k_max must be a positive integer, got {task.k_max!r}")
-    validate_distribution(task.desired)
 
     if len(set(task.pool.labels)) != len(task.pool.labels):
         raise ValidationError("duplicate attribute labels in pool")
@@ -253,8 +264,7 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
         props.append(float(p))
         pools.append(_freeze(scores.copy()))
 
-    desired = DesiredDistribution(labels=tuple(labels), proportions=_freeze(np.asarray(props)))
-    validate_distribution(desired)
+    desired = DesiredDistribution(labels=tuple(labels), proportions=props)
     pool = ScoredPool(labels=tuple(labels), scores=tuple(pools))
     if pool.total() < task.k_max:
         raise InsufficientCandidates(
@@ -264,7 +274,7 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
 
 
 def task_from_dict(obj) -> RankingTask:
-    """Build a (not yet validated) task from parsed JSON.
+    """Build a task, with its pools not yet validated, from parsed JSON.
 
     Expected shape: {"k": int, "desired": {label: proportion},
     "pools": {label: [score, ...]}}.

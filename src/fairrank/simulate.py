@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
-from .metrics import MetricsReport, _reports, prefix_counts
+from .metrics import _columns, prefix_counts
 from .model import (
     DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int, validate_task,
 )
@@ -61,9 +61,7 @@ def gen_desired(num_attr: int, rng: np.random.Generator) -> DesiredDistribution:
     u = rng.random(num_attr)
     while not np.all(u > 0):
         u = rng.random(num_attr)
-    return DesiredDistribution(
-        labels=attribute_labels(num_attr), proportions=_freeze(u / u.sum())
-    )
+    return DesiredDistribution(labels=attribute_labels(num_attr), proportions=u / u.sum())
 
 
 def gen_pool(num_attr: int, pool_size: int, rng: np.random.Generator) -> ScoredPool:
@@ -130,7 +128,7 @@ class AggregateRow:
 
 
 class TaskOutcome(NamedTuple):
-    reports: dict[Algorithm, MetricsReport]
+    rows: dict[Algorithm, np.ndarray]
     failures: dict[Algorithm, str]
 
 
@@ -139,9 +137,11 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
 
     The successful rankings go through the metrics core as one batch, at
     depth k_max against the merged pools' descending score order `ideal`, so
-    vanilla scores exactly 1.0 and each report equals measure(ranked,
-    task.desired, ideal, task.k_max). Algorithms that raise a RankingError
-    land in failures (exception class name) instead of reports.
+    vanilla scores exactly 1.0. Each ranked algorithm gets one (6,) float64
+    row in CSV order: infeasible_index, infeasible_count, min_skew,
+    max_skew, ndkl and ndcg of measure(ranked, task.desired, ideal,
+    task.k_max). Algorithms that raise a RankingError land in failures
+    (exception class name) instead of rows.
     """
     rankings: dict[Algorithm, RankedList] = {}
     failures: dict[Algorithm, str] = {}
@@ -156,19 +156,8 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     lists = rankings.values()
     cum = np.stack([prefix_counts(r) for r in lists])
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-    reports = _reports(cum, np.stack([r.scores for r in lists]), task.desired, task.k_max, ideal)
-    return TaskOutcome(dict(zip(rankings, reports)), failures)
-
-
-def _metric_row(report: MetricsReport) -> tuple[float, ...]:
-    return (
-        report.infeasible_index,
-        report.infeasible_count,
-        report.min_skew,
-        report.max_skew,
-        report.ndkl,
-        report.ndcg,
-    )
+    _, columns = _columns(cum, np.stack([r.scores for r in lists]), task.desired, task.k_max, ideal)
+    return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 
 
 def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
@@ -179,8 +168,8 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
         for r in range(config.replications):
             pool = gen_pool(num_attr, config.pool_size, _rng(config.seed, num_attr, d, r))
             task = validate_task(RankingTask(desired=desired, pool=pool, k_max=config.k_max))
-            for algo, report in run_task(task, config.algorithms).reports.items():
-                rows[algo].append(_metric_row(report))
+            for algo, row in run_task(task, config.algorithms).rows.items():
+                rows[algo].append(row)
     return {
         a: np.array(r, dtype=np.float64).reshape(-1, _METRIC_WIDTH) for a, r in rows.items()
     }

@@ -192,11 +192,22 @@ class TestMeasureCommand:
                 {"position": "x", "attribute": "a", "score": 0.9},
                 {"position": 1, "attribute": "b", "score": 0.8},
             ],
+            # json reads NaN; this used to measure as a, a, b with exit 0
+            [
+                {"position": float("nan"), "attribute": "a", "score": 0.9},
+                {"position": 2, "attribute": "b", "score": 0.8},
+                {"position": 1, "attribute": "a", "score": 0.7},
+            ],
+            # both rows used to be kept, with exit 0
+            [
+                {"position": 1, "attribute": "a", "score": 0.9},
+                {"position": 1, "attribute": "b", "score": 0.8},
+            ],
         ],
-        ids=["unhashable-label", "unorderable-positions"],
+        ids=["unhashable-label", "unorderable-positions", "nan-position", "duplicate-positions"],
     )
     def test_malformed_rows_rejected(self, tmp_path, records):
-        # neither may escape as a TypeError traceback (exit 1)
+        # none may escape as a TypeError traceback (exit 1) or be measured
         assert_one_error_line(self.measure(tmp_path, records, {"a": 0.5, "b": 0.5}))
 
     def test_depth_flag_out_of_range_rejected(self, tmp_path):

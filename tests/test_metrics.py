@@ -369,6 +369,30 @@ class TestMeasure:
             fr.measure(ranked, HALF, ideal_scores=ideal)
 
 
+class TestFlatScoreVectors:
+    # a (2, 1) list used to broadcast against the discount vector, and a
+    # 2-D ideal used to escape as a bare numpy ValueError
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fr.dcg([[0.9], [0.8]]),  # used to return 2.7726, not 1.4047
+            lambda: fr.dcg(0.9),
+            lambda: fr.ndcg([[0.9], [0.8]], [0.9, 0.8]),  # used to flatten to 1.0
+            lambda: fr.ndcg([0.9, 0.8], [[0.9, 0.8]]),
+            lambda: fr.measure(
+                make_ranked("ab", ("a", "b"), scores=[0.9, 0.8]), HALF, ideal_scores=[[0.9, 0.8]]
+            ),
+        ],
+        ids=["dcg-2d", "dcg-scalar", "ndcg-list-2d", "ndcg-ideal-2d", "measure-ideal-2d"],
+    )
+    def test_rejected_as_validation_error(self, call):
+        with pytest.raises(fr.ValidationError, match="flat"):
+            call()
+
+    def test_flat_dcg_value(self):
+        assert fr.dcg([0.9, 0.8]) == pytest.approx(0.9 + 0.8 / math.log2(3))
+
+
 class TestNonNumericInputs:
     # none of these may escape as a bare ValueError from np.asarray
     @pytest.mark.parametrize(

@@ -42,9 +42,50 @@ class TestEmpiricalDistribution:
     )
     def test_valid_and_scale_invariant(self, counts, factor):
         d = fr.empirical_distribution(counts)
-        fr.validate_distribution(d)
+        # the result passes the constructor's checks when rebuilt from its parts
+        rebuilt = fr.DesiredDistribution(labels=d.labels, proportions=d.proportions)
+        assert rebuilt.proportions.tolist() == d.proportions.tolist()
         scaled = fr.empirical_distribution({a: c * factor for a, c in counts.items()})
         assert np.allclose(d.proportions, scaled.proportions, atol=1e-12)
+
+
+class TestDesiredDistribution:
+    @pytest.mark.parametrize(
+        "proportions, error",
+        [
+            ([0.5], fr.ValidationError),  # used to broadcast: ndkl 0.2816
+            ([float("nan"), 0.5], fr.DistributionNotNormalized),  # NaN min/max skew, ndkl
+            ([0.2, 0.2], fr.DistributionNotNormalized),  # used to be measured as if normalized
+            ([1.5, -0.5], fr.DistributionNotNormalized),  # infeasible prefixes [2, 3, 4]
+            ([0.5, 0.3, 0.2], fr.ValidationError),  # used to raise a bare numpy ValueError
+            ([[0.5], [0.5]], fr.ValidationError),
+            (["x", "y"], fr.ValidationError),
+        ],
+        ids=["short", "nan", "unnormalized", "negative", "long", "2-D", "non-numeric"],
+    )
+    def test_malformed_proportions_rejected_at_construction(self, proportions, error):
+        with pytest.raises(error):
+            fr.DesiredDistribution(labels=("a", "b"), proportions=proportions)
+
+    @pytest.mark.parametrize(
+        "labels, proportions", [((), []), (("a", "a"), [0.5, 0.5])], ids=["empty", "duplicate"]
+    )
+    def test_empty_or_duplicate_labels_rejected(self, labels, proportions):
+        with pytest.raises(fr.ValidationError):
+            fr.DesiredDistribution(labels=labels, proportions=proportions)
+
+    def test_malformed_mapping_rejected(self):
+        with pytest.raises(fr.DistributionNotNormalized):
+            fr.DesiredDistribution.from_mapping({"a": 0.2, "b": 0.2})
+
+    def test_stores_tuple_labels_and_frozen_float_copy(self):
+        source = np.array([0.25, 0.75])
+        d = fr.DesiredDistribution(labels=["a", "b"], proportions=source)
+        source[0] = 0.5
+        assert d.labels == ("a", "b")
+        assert d.proportions.dtype == np.float64
+        assert d.proportions.tolist() == [0.25, 0.75]
+        assert not d.proportions.flags.writeable
 
 
 class TestValidateTask:
@@ -187,6 +228,21 @@ class TestRankedList:
         with pytest.raises(fr.ValidationError, match="position"):
             fr.RankedList.from_records(records, ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "positions",
+        [(float("nan"), 2, 1), (1, 1, 2), (2, float("nan"))],
+        ids=["nan-first", "duplicate", "nan-last"],
+    )
+    def test_nan_or_duplicate_positions_rejected(self, positions):
+        # (NaN, 2, 1) with labels a, b, a used to come out as a, a, b, and
+        # two rows at position 1 were both kept
+        records = [
+            {"position": pos, "attribute": label, "score": 0.5}
+            for pos, label in zip(positions, "aba")
+        ]
+        with pytest.raises(fr.ValidationError, match="position"):
+            fr.RankedList.from_records(records, ("a", "b"))
+
     def test_malformed_row_rejected(self):
         with pytest.raises(fr.ValidationError):
             fr.RankedList.from_records([{"attribute": "a"}], ("a",))
@@ -226,8 +282,26 @@ class TestRankedList:
                 scores=np.array([0.9, 0.8]),
             )
 
+    @pytest.mark.parametrize(
+        "attributes, scores",
+        [
+            ([[0], [1]], [[0.9], [0.8]]),  # measure used to say "ideal scores must be sorted"
+            ([0.5, 1.0], [0.9, 0.8]),  # measure used to raise a bare IndexError
+            ([0.0, 1.0], [0.9, 0.8]),
+            ([True, False], [0.9, 0.8]),
+        ],
+        ids=["2-D", "fractional", "integral-float", "bool"],
+    )
+    def test_attributes_must_be_flat_integers(self, attributes, scores):
+        with pytest.raises(fr.ValidationError, match="attributes"):
+            fr.RankedList(
+                labels=("a", "b"), attributes=np.asarray(attributes), scores=np.asarray(scores)
+            )
+
     def test_empty_list_is_well_formed(self):
         empty = fr.RankedList(
             labels=("a",), attributes=np.empty(0, dtype=np.int64), scores=np.empty(0)
         )
         assert len(empty) == 0
+        # an empty list may carry any dtype, e.g. np.asarray([])
+        assert len(fr.RankedList(labels=("a",), attributes=np.asarray([]), scores=[])) == 0

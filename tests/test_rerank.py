@@ -408,15 +408,15 @@ class TestKernelProperties:
     @settings(max_examples=150, deadline=None)
     @given(small_tasks(), st.booleans())
     def test_run_task_reports_equal_measure(self, task, fallback):
-        # run_task measures all rankings of a task in one batch; each report
-        # must equal measure's batch of one exactly, skew array included
+        # run_task measures all rankings of a task in one batch; each metric
+        # row must equal measure's batch of one exactly, in CSV order
         outcome = fr.run_task(task, list(fr.Algorithm), fallback)
         ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-        assert fr.Algorithm.VANILLA in outcome.reports
-        for algo, report in outcome.reports.items():
-            single = fr.measure(
+        assert fr.Algorithm.VANILLA in outcome.rows
+        for algo, row in outcome.rows.items():
+            r = fr.measure(
                 fr.rank(task, algo, fallback), task.desired, ideal_scores=ideal, k=task.k_max
             )
-            assert report.to_dict() == single.to_dict()
-            assert report.skew.tobytes() == single.skew.tobytes()
-            assert report.labels == single.labels
+            assert row.tolist() == [
+                r.infeasible_index, r.infeasible_count, r.min_skew, r.max_skew, r.ndkl, r.ndcg
+            ]

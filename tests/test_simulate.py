@@ -49,17 +49,32 @@ class TestRunTask:
             )
         )
 
+    @staticmethod
+    def measured_row(task, algo):
+        # the (6,) row run_task must produce, in CSV order, from measure
+        ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
+        r = fr.measure(fr.rank(task, algo), task.desired, ideal_scores=ideal, k=task.k_max)
+        return [r.infeasible_index, r.infeasible_count, r.min_skew, r.max_skew, r.ndkl, r.ndcg]
+
+    def test_rows_equal_measure(self):
+        task = self.task(4, seed=3)
+        outcome = fr.run_task(task, list(fr.Algorithm))
+        assert list(outcome.rows) == list(fr.Algorithm)
+        for algo, row in outcome.rows.items():
+            assert row.dtype == np.float64 and row.shape == (6,)
+            assert row.tolist() == self.measured_row(task, algo)
+
     def test_vanilla_ndcg_exactly_one(self):
         outcome = fr.run_task(self.task(), ["vanilla"])
-        assert outcome.reports[fr.Algorithm.VANILLA].ndcg == 1.0
+        assert outcome.rows[fr.Algorithm.VANILLA][5] == 1.0
 
     def test_interval_sort_always_feasible(self):
         outcome = fr.run_task(self.task(7, seed=9), ["detconstsort"])
-        assert outcome.reports[fr.Algorithm.DET_CONST_SORT].infeasible_index == 0
+        assert outcome.rows[fr.Algorithm.DET_CONST_SORT][0] == 0
 
     def test_two_groups_greedy_feasible(self):
         outcome = fr.run_task(self.task(2, seed=11), ["detgreedy"])
-        assert outcome.reports[fr.Algorithm.DET_GREEDY].infeasible_index == 0
+        assert outcome.rows[fr.Algorithm.DET_GREEDY][0] == 0
 
     def test_failures_recorded_per_cell(self):
         starved = make_task(
@@ -68,8 +83,9 @@ class TestRunTask:
             4,
         )
         outcome = fr.run_task(starved, ["vanilla", "detgreedy", "detcons"])
-        assert fr.Algorithm.VANILLA in outcome.reports
-        assert fr.Algorithm.DET_GREEDY in outcome.reports
+        assert list(outcome.rows) == [fr.Algorithm.VANILLA, fr.Algorithm.DET_GREEDY]
+        for algo, row in outcome.rows.items():
+            assert row.tolist() == self.measured_row(starved, algo)
         assert outcome.failures == {fr.Algorithm.DET_CONS: "InsufficientCandidates"}
 
 
