@@ -49,7 +49,7 @@ from .errors import (
     ZeroDesiredProportion,
 )
 from .model import DesiredDistribution, RankedList, _as_float_array, _is_int
-from .quota import floor_quotas
+from .quota import floor_quotas, prefix_products
 
 SKEW_EPSILON = 1e-6
 
@@ -217,17 +217,16 @@ def ndcg(ranked, ideal_scores) -> float:
     return float(_ndcg_rows(s.reshape(1, -1), ideal_scores, discount)[0])
 
 
-def _floor_violations(cum: np.ndarray, p: np.ndarray, ks) -> np.ndarray:
-    """Mask of (..., n, num_attrs) prefix counts below floor(k * p_a); row i is k = ks[i]."""
-    return cum < floor_quotas(np.outer(ks, p))
+def _floor_violations(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
+    """(n, num_attrs) mask of prefix counts below floor(k * p_a); row i is k = i + 1."""
+    _check_alignment(ranked, desired)
+    floors = floor_quotas(prefix_products(desired.proportions, len(ranked)))
+    return prefix_counts(ranked) < floors
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
-    _check_alignment(ranked, desired)
-    p = desired.proportions
-    ks = np.arange(1.0, len(ranked) + 1)
-    return np.flatnonzero(_floor_violations(prefix_counts(ranked), p, ks).any(axis=1)) + 1
+    return np.flatnonzero(_floor_violations(ranked, desired).any(axis=1)) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -237,9 +236,7 @@ def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
 
 def infeasible_count(ranked: RankedList, desired: DesiredDistribution) -> int:
     """Number of (attribute, prefix length) floor-quota violations."""
-    _check_alignment(ranked, desired)
-    p = desired.proportions
-    return int(_floor_violations(prefix_counts(ranked), p, np.arange(1.0, len(ranked) + 1)).sum())
+    return int(_floor_violations(ranked, desired).sum())
 
 
 @dataclass(frozen=True)
@@ -278,22 +275,24 @@ class MetricsReport:
         }
 
 
-def _columns(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal):
+def _columns(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal, floors):
     """All measures of m lists of one length, taken together at depth k.
 
     cum holds their (m, n, num_attrs) prefix counts, scores their (m, n)
-    scores, and ideal is the one ideal score vector for all of them. Returns
-    the (m, num_attrs) skew matrix and one (m,) column per scalar measure,
-    in CSV order: infeasible_index, infeasible_count, min_skew, max_skew,
-    ndkl, ndcg. Every reduction runs along the last axis in the single-list
-    order, so a list's values are bit-identical in a batch of one or of many.
+    scores, floors the (n, num_attrs) table floor(i * p_a) for prefix
+    lengths i = 1..n, and ideal is the one ideal score vector for all of
+    them. Returns the (m, num_attrs) skew matrix and one (m,) column per
+    scalar measure, in CSV order: infeasible_index, infeasible_count,
+    min_skew, max_skew, ndkl, ndcg. Every reduction runs along the last
+    axis in the single-list order, so a list's values are bit-identical in
+    a batch of one or of many.
     """
     p = desired.proportions
     if p.min() <= 0:
         raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
     ks = np.arange(1.0, cum.shape[1] + 1)
     discount = np.log2(ks + 1)
-    violations = _floor_violations(cum, p, ks)
+    violations = cum < floors
     skew = _skews(cum[:, k - 1] / k, k, p)
     return skew, (
         violations.any(axis=2).sum(axis=1),
@@ -324,6 +323,8 @@ def measure(
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    skew, columns = _columns(prefix_counts(ranked)[None], ranked.scores[None], desired, k, ideal)
+    floors = floor_quotas(prefix_products(desired.proportions, n))
+    cum, scores = prefix_counts(ranked)[None], ranked.scores[None]
+    skew, columns = _columns(cum, scores, desired, k, ideal, floors)
     index, count, low, high, div, gain = [column.item(0) for column in columns]
     return MetricsReport(desired.labels, skew[0], low, high, div, gain, index, count, k)

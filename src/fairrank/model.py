@@ -11,8 +11,10 @@ distribution into the frozen form the algorithms assume.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import (
     UnknownAttribute,
     ValidationError,
 )
+from .quota import ceil_quotas, floor_quotas, prefix_products
 
 NORMALIZATION_TOL = 1e-9
 
@@ -50,10 +53,11 @@ def _as_float_array(values, what: str) -> np.ndarray:
 class DesiredDistribution:
     """Target proportions over attribute values, index-aligned with labels.
 
-    Construction requires at least one label, unique labels, and one finite,
-    non-negative proportion per label summing to 1 within NORMALIZATION_TOL
-    (ValidationError or DistributionNotNormalized otherwise). It stores the
-    labels as a tuple and the proportions as a frozen float64 copy.
+    Construction requires at least one label, unique string labels, and one
+    finite, non-negative proportion per label summing to 1 within
+    NORMALIZATION_TOL (ValidationError or DistributionNotNormalized
+    otherwise). It stores the labels as a tuple and the proportions as a
+    frozen float64 copy.
     """
 
     labels: tuple[str, ...]
@@ -64,6 +68,8 @@ class DesiredDistribution:
         p = _freeze(_as_float_array(self.proportions, "desired proportions").copy())
         if len(labels) == 0:
             raise DistributionNotNormalized("distribution has no attribute values")
+        if not all(isinstance(a, str) for a in labels):
+            raise ValidationError(f"attribute labels must be strings, got {labels!r}")
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate attribute labels in distribution")
         if p.ndim != 1 or len(p) != len(labels):
@@ -116,11 +122,29 @@ class ScoredPool:
         return sum(len(s) for s in self.scores)
 
 
+# a validated task's quotas and pools in the form the re-rankers read
+TaskTable = namedtuple("TaskTable", "floors ceils floor_rows ceil_rows pools")
+
+
 @dataclass(frozen=True)
 class RankingTask:
     desired: DesiredDistribution
     pool: ScoredPool
     k_max: int
+
+    @cached_property
+    def table(self) -> TaskTable:
+        """A validated task's quotas and pools, built on first use and shared by every ranking.
+
+        floors and ceils are the int64 tables floor(k * p_a) and ceil(k * p_a),
+        row i for k = i + 1, over k_max + n + 2 rows (DetConstSort's counter
+        bound); floor_rows and ceil_rows are the same as lists, and each pool
+        is a list of its scores ending in a -inf sentinel.
+        """
+        products = prefix_products(self.desired.proportions, self.k_max + len(self.desired) + 2)
+        floors, ceils = floor_quotas(products), ceil_quotas(products)
+        pools = [s.tolist() + [-np.inf] for s in self.pool.scores]
+        return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
 
 @dataclass(frozen=True)
@@ -264,7 +288,10 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
         props.append(float(p))
         pools.append(_freeze(scores.copy()))
 
-    desired = DesiredDistribution(labels=tuple(labels), proportions=props)
+    # the task's own distribution is already checked unless a label was dropped
+    desired = task.desired
+    if len(labels) < len(desired):
+        desired = DesiredDistribution(labels=tuple(labels), proportions=props)
     pool = ScoredPool(labels=tuple(labels), scores=tuple(pools))
     if pool.total() < task.k_max:
         raise InsufficientCandidates(

@@ -7,10 +7,10 @@ evaluates to 62.99999999999999 and a raw floor yields 62 instead of 63,
 while 77 * (9/11) evaluates to 63.00000000000001 and a raw ceil yields 64.
 Values within SNAP_TOL of an integer are snapped to it before rounding.
 
-Quotas round in one place: the re-ranking algorithms build whole
-(prefix length, attribute) tables through these helpers before their
-position loops, and the feasibility metrics use the same helpers, so both
-agree on every quota.
+Quotas round in one place: every (prefix length, attribute) table rounds
+prefix_products through these helpers, both the per-task table the
+re-rankers share (model.RankingTask.table) and the floors the metrics take
+of any list, so the algorithms and the metrics agree on every quota.
 """
 
 import numpy as np
@@ -21,6 +21,11 @@ SNAP_TOL = 1e-12
 def _snap(x):
     nearest = np.rint(x)
     return np.where(np.abs(x - nearest) <= SNAP_TOL, nearest, x)
+
+
+def prefix_products(p, n_rows: int) -> np.ndarray:
+    """(n_rows, len(p)) float64 table of k * p_a; row i is prefix length k = i + 1."""
+    return np.outer(np.arange(1, n_rows + 1, dtype=np.float64), p)
 
 
 def floor_quotas(x: np.ndarray) -> np.ndarray:

@@ -33,9 +33,10 @@ then the higher next score nxt[a], then the lower index. Each pool is a
 list ending in a -inf sentinel and nxt[a] advances only when a wins, so
 nxt[a] == -inf marks an exhausted pool. detgreedy, detcons and detrelaxed
 call _pick with the floor row and a zero key, then, when no attribute is
-below its floor, with the ceiling row and the task's key row (zeros for
-detgreedy, pressure classes for detcons, levels for detrelaxed), all built
-with numpy before the position loop.
+below its floor, with the ceiling row and the algorithm's key row (zeros
+for detgreedy, pressure classes for detcons, levels for detrelaxed). Rows
+and pools come from the task's table, built once per task and shared by
+all rankings of it; only the key rows are built per call, with numpy.
 
 Every tie anywhere resolves by ascending attribute index (the order labels
 appear in the desired distribution), which makes all algorithms fully
@@ -56,7 +57,7 @@ import numpy as np
 
 from .errors import EmptyCandidateSets, InsufficientCandidates, UnknownAlgorithm
 from .model import RankedList, RankingTask, _freeze
-from .quota import SNAP_TOL, ceil_quotas, floor_quotas
+from .quota import SNAP_TOL, ceil_quotas
 
 
 class Algorithm(Enum):
@@ -86,33 +87,30 @@ _INF = float("inf")
 _NEG_INF = -_INF
 
 
-def _quota_tables(proportions, n_rows: int, algorithm: Algorithm):
-    """Floors, ceilings and _pick keys for prefix lengths 1..n_rows, as row lists.
+def _ceiling_keys(task: RankingTask, algorithm: Algorithm):
+    """The ceiling phase's _pick keys for prefix lengths 1..k_max, as row lists.
 
     Keys are the detcons pressure ceil(k * p_a) / p_a as integer classes, so
     that mathematically equal pressures tie exactly; the detrelaxed level
-    ceil(ceil(k * p_a) / p_a); and zeros for every other algorithm.
+    ceil(ceil(k * p_a) / p_a); and zeros for detgreedy. Both read the
+    task's shared ceiling table.
     """
-    p = np.asarray(proportions, dtype=np.float64)
-    products = np.outer(np.arange(1, n_rows + 1, dtype=np.float64), p)
-    floors = floor_quotas(products)
-    ceils = ceil_quotas(products)
+    p = task.desired.proportions
+    ceils = task.table.ceils[: task.k_max]
     if algorithm is Algorithm.DET_CONS:
         # sort each row; a new class starts wherever the next pressure is
         # more than SNAP_TOL (relative) above the previous one
         pressure = ceils / p
         order = pressure.argsort(axis=1)
-        rows = np.arange(n_rows)[:, None]
+        rows = np.arange(task.k_max)[:, None]
         ranked = pressure[rows, order]
         steps = ranked[:, :-1] < ranked[:, 1:] * (1 - SNAP_TOL)
         keys = np.zeros(pressure.shape, dtype=np.int64)
         keys[rows, order[:, 1:]] = steps.cumsum(axis=1)
-        keys = keys.tolist()
-    elif algorithm is Algorithm.DET_RELAXED:
-        keys = ceil_quotas(ceils / p).tolist()
-    else:
-        keys = [[0] * len(p)] * n_rows  # one shared row, never written
-    return floors.tolist(), ceils.tolist(), keys
+        return keys.tolist()
+    if algorithm is Algorithm.DET_RELAXED:
+        return ceil_quotas(ceils / p).tolist()
+    return [[0] * len(p)] * task.k_max  # one shared row, never written
 
 
 def _pick(counts, limit, nxt, key) -> int:
@@ -143,10 +141,10 @@ def _fallback_pick(counts, pools, ce, nxt, key) -> int:
 
 def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool) -> RankedList:
     """Serve attributes below their floor by next score; otherwise _pick by key."""
-    pools = [s.tolist() + [_NEG_INF] for s in task.pool.scores]
+    _, _, floors, ceils, pools = task.table
     nxt = [s[0] for s in pools]
     k_max = task.k_max
-    floors, ceils, keys = _quota_tables(task.desired.proportions, k_max, algorithm)
+    keys = _ceiling_keys(task, algorithm)
     no_key = [0] * len(pools)
 
     counts = [0] * len(pools)
@@ -216,23 +214,20 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
     below position k), and bubble each toward the front while the left
     neighbor both scores lower and may shift one position down.
     """
-    pools = [s.tolist() + [_NEG_INF] for s in task.pool.scores]
+    _, _, floors, ceils, pools = task.table
     nxt = [s[0] for s in pools]
     k_max = task.k_max
     n_attrs = len(pools)
-    # floor quotas strictly exceed k - n_attrs, so the counter never needs
-    # to run past k_max + n_attrs + 1 to fill k_max slots
-    n_rows = k_max + n_attrs + 2
-    floors, ceils, keys = _quota_tables(task.desired.proportions, n_rows, Algorithm.DET_CONST_SORT)
 
     counts = [0] * n_attrs
     last_floor = [0] * n_attrs
     ranked: list[tuple[float, int, int]] = []  # (score, movement bound, attribute)
     events = 0
-    for k in range(1, n_rows + 1):
+    # floor quotas strictly exceed k - n_attrs, so the counter never needs
+    # to run past k_max + n_attrs + 1, the table's last row, to fill k_max slots
+    for k, fl in enumerate(floors, start=1):
         if len(ranked) >= k_max:
             break
-        fl = floors[k - 1]
         # stable, so equal next scores keep ascending index; exhausted (-inf) go last
         for a in sorted((a for a in range(n_attrs) if fl[a] > last_floor[a]),
                         key=nxt.__getitem__, reverse=True):
@@ -242,7 +237,7 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
                     raise InsufficientCandidates(
                         f"detconstsort: pool for {label!r} exhausted at counter {k}"
                     )
-                a = _fallback_pick(counts, pools, ceils[k - 1], nxt, keys[k - 1])
+                a = _fallback_pick(counts, pools, ceils[k - 1], nxt, [0] * n_attrs)
                 events += 1
             item = (nxt[a], k, a)
             counts[a] += 1

@@ -156,7 +156,8 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     lists = rankings.values()
     cum = np.stack([prefix_counts(r) for r in lists])
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-    _, columns = _columns(cum, np.stack([r.scores for r in lists]), task.desired, task.k_max, ideal)
+    scores, floors = np.stack([r.scores for r in lists]), task.table.floors[: task.k_max]
+    _, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 
 

@@ -74,6 +74,14 @@ class TestDesiredDistribution:
         with pytest.raises(fr.ValidationError):
             fr.DesiredDistribution(labels=labels, proportions=proportions)
 
+    @pytest.mark.parametrize(
+        "labels", [(["a"],), (None,), (1, 2), ("a", 2)], ids=["unhashable", "none", "int", "mixed"]
+    )
+    def test_non_string_labels_rejected(self, labels):
+        # an int label would be ambiguous: skew_at_k reads any int as an index
+        with pytest.raises(fr.ValidationError):
+            fr.DesiredDistribution(labels=labels, proportions=[1 / len(labels)] * len(labels))
+
     def test_malformed_mapping_rejected(self):
         with pytest.raises(fr.DistributionNotNormalized):
             fr.DesiredDistribution.from_mapping({"a": 0.2, "b": 0.2})
@@ -122,6 +130,16 @@ class TestValidateTask:
         )
         assert task.desired.labels == ("a", "b")
         assert task.pool.labels == ("a", "b")
+
+    def test_checked_distribution_reused_unless_a_label_is_dropped(self):
+        pools = fr.ScoredPool.from_mapping({"a": [0.9], "b": [0.7]})
+        kept = fr.DesiredDistribution.from_mapping({"a": 0.25, "b": 0.75})
+        task = fr.validate_task(fr.RankingTask(desired=kept, pool=pools, k_max=2))
+        assert task.desired is kept
+        dropping = fr.DesiredDistribution.from_mapping({"a": 0.25, "gone": 0.0, "b": 0.75})
+        task = fr.validate_task(fr.RankingTask(desired=dropping, pool=pools, k_max=2))
+        assert task.desired is not dropping
+        assert task.desired.as_mapping() == {"a": 0.25, "b": 0.75}
 
     def test_missing_pool_becomes_empty(self):
         task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9, 0.8]}, 2)

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ref_ceil, ref_floor
+from conftest import make_task, ref_ceil, ref_floor
 from fairrank.quota import ceil_quotas, floor_quotas
 
 
@@ -63,3 +65,22 @@ def test_floor_ceil_bracket(k, p):
     assert lo <= hi <= lo + 1
     assert abs(lo - x) < 1 + 1e-9
     assert abs(hi - x) < 1 + 1e-9
+
+
+@pytest.mark.parametrize("mix", [(0.3, 0.7), (0.05, 0.35, 0.6), (0.1,) * 10])
+def test_task_table_rows_are_the_exact_decimal_quotas(mix):
+    # float products land off integers here (90 * 0.7 = 62.999...); every
+    # row must still match the quotas of the decimals in exact arithmetic
+    k_max = 200
+    labels = [f"g{i}" for i in range(len(mix))]
+    task = make_task(dict(zip(labels, mix)), {a: [0.5] * k_max for a in labels}, k_max)
+    table = task.table
+    assert len(table.floor_rows) == len(table.ceil_rows) == k_max + len(mix) + 2
+    for k, (floors, ceils) in enumerate(zip(table.floor_rows, table.ceil_rows), start=1):
+        exact = [Fraction(k) * Fraction(str(q)) for q in mix]
+        assert floors == [math.floor(x) for x in exact]
+        assert ceils == [math.ceil(x) for x in exact]
+    assert table.floors.dtype == table.ceils.dtype == np.int64
+    assert table.floors.tolist() == table.floor_rows and table.ceils.tolist() == table.ceil_rows
+    assert table.pools == [s.tolist() + [-math.inf] for s in task.pool.scores]
+    assert task.table is table

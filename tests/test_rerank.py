@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import fairrank as fr
 from conftest import make_task, random_task, ref_ceil, ref_floor, spawn_rng
-from fairrank.rerank import Algorithm, _pick, _quota_tables
+from fairrank.rerank import Algorithm, _ceiling_keys, _pick
 
 GREEDY_FAMILY = ("detgreedy", "detcons", "detrelaxed")
 CONSTRAINED = GREEDY_FAMILY + ("detconstsort",)
@@ -157,8 +159,10 @@ class TestDetConsAndRelaxed:
         counts = (5, 3, 1)
         nxt = [pool[c] for pool, c in zip(pools, counts)]
         p = (0.55, 0.30, 0.15)
+        task = make_task(dict(zip("abc", p)), dict(zip("abc", pools)), 10)
+        floors, ceils = task.table.floor_rows, task.table.ceil_rows
         for algo, expected in (("detcons", 0), ("detrelaxed", 0), ("detgreedy", 2)):
-            floors, ceils, keys = _quota_tables(p, 10, Algorithm(algo))
+            keys = _ceiling_keys(task, Algorithm(algo))
             assert all(c >= f for c, f in zip(counts, floors[9]))
             assert _pick(counts, floors[9], nxt, [0, 0, 0]) == -1
             assert _pick(counts, ceils[9], nxt, keys[9]) == expected
@@ -168,7 +172,8 @@ class TestDetConsAndRelaxed:
         # ceil(k * p_a) / p_a is exactly 60, but in floats 21 / 0.35 gives
         # 60.00000000000001; the tie must go to the best next score
         p = (0.05, 0.35, 0.6)
-        _, ceils, keys = _quota_tables(p, 59, Algorithm.DET_CONS)
+        task = make_task(dict(zip("abc", p)), {a: [0.5] * 59 for a in "abc"}, 59)
+        ceils, keys = task.table.ceil_rows, _ceiling_keys(task, Algorithm.DET_CONS)
         assert ceils[58] == [3, 21, 36]
         assert ceils[58][1] / p[1] > ceils[58][0] / p[0] == 60.0
         assert keys[58][0] == keys[58][1] == keys[58][2]
@@ -420,3 +425,85 @@ class TestKernelProperties:
             assert row.tolist() == [
                 r.infeasible_index, r.infeasible_count, r.min_skew, r.max_skew, r.ndkl, r.ndcg
             ]
+
+
+def tight_pool_tasks(count=1000, seed=2019):
+    """Seeded tasks whose pools hold about their floor quotas: n 1-6, k 1-30.
+
+    The pool of a holds floor(k * p_a) + U{-1..2} candidates (at least 0;
+    redrawn until the kept pools can fill k) with scores on a 0.05 grid, so
+    pools run dry and scores tie often. Half the mixes are integer weights
+    0-9, which put quotas on exact integers and drop zero-weight labels in
+    validation; half are uniform draws.
+    """
+    rng = spawn_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, 31))
+        if rng.random() < 0.5:
+            w = rng.integers(0, 10, n).astype(np.float64)
+            w[int(rng.integers(n))] += 1
+        else:
+            w = rng.random(n) + 1e-3
+        p = w / w.sum()
+        sizes = [0] * n
+        # validation drops zero-weight labels with their pools
+        while sum(m for m, q in zip(sizes, p) if q > 0) < k:
+            sizes = [max(0, math.floor(k * q) + int(rng.integers(-1, 3))) for q in p]
+        labels = [f"g{a}" for a in range(n)]
+        pools = [sorted(np.round(rng.random(m) * 20) / 20, reverse=True) for m in sizes]
+        yield make_task(dict(zip(labels, p)), dict(zip(labels, pools)), k)
+
+
+def rank_digest(tasks) -> str:
+    """SHA-256 over every rank outcome: attributes, scores and fallback_events,
+    or the exception class and message, per algorithm with fallback off and on."""
+    h = hashlib.sha256()
+    for task in tasks:
+        for algo in fr.Algorithm:
+            for fallback in (False, True):
+                out = rank_or_error(task, algo, fallback)
+                if isinstance(out, fr.RankingError):
+                    h.update(f"{type(out).__name__}: {out}\n".encode())
+                else:
+                    h.update(out.attributes.tobytes() + out.scores.tobytes())
+                    h.update(f"{out.fallback_events}\n".encode())
+    return h.hexdigest()
+
+
+def test_rank_digest_on_tight_pools_is_pinned():
+    # pins every ranking, fallback count and error on tight pools; a change
+    # that alters outputs on purpose updates the hex and says why
+    assert rank_digest(tight_pool_tasks()) == (
+        "99c534f61c9d91ba3a31a8d84a2a8256f2e8e124a829f10631fd20e33eefc2b5"
+    )
+
+
+def rank_outcome(task, algo, fallback):
+    out = rank_or_error(task, algo, fallback)
+    if isinstance(out, fr.RankingError):
+        return type(out).__name__, str(out)
+    return out.attributes.tolist(), out.scores.tolist(), out.fallback_events
+
+
+def test_cached_table_reuse_matches_fresh_tasks():
+    # every ranking of a task reads one table cached on it; ranking it again,
+    # or a copy with another k_max, must give what a freshly built task gives
+    for task in tight_pool_tasks(count=150, seed=31):
+        pools = dict(zip(task.pool.labels, (s.tolist() for s in task.pool.scores)))
+        ks = {task.k_max, max(1, task.k_max // 2), min(task.pool.total(), task.k_max + 3)}
+        fresh = {k: make_task(task.desired.as_mapping(), pools, k) for k in ks}
+        for algo in fr.Algorithm:
+            for fallback in (False, True):
+                first = rank_outcome(task, algo, fallback)
+                assert rank_outcome(task, algo, fallback) == first
+                for k in ks:
+                    copy = dataclasses.replace(task, k_max=k)
+                    assert rank_outcome(copy, algo, fallback) == rank_outcome(fresh[k], algo, fallback)
+                assert first == rank_outcome(fresh[task.k_max], algo, fallback)
+        for k in ks:
+            rows = fr.run_task(dataclasses.replace(task, k_max=k), list(fr.Algorithm)).rows
+            expected = fr.run_task(fresh[k], list(fr.Algorithm)).rows
+            assert {a: r.tolist() for a, r in rows.items()} == {
+                a: r.tolist() for a, r in expected.items()
+            }
