@@ -46,7 +46,7 @@ trap = fr.validate_task(fr.RankingTask(
         {"a1": [0.1], "a2": [0.2], "a3": [0.3], "a4": [0.4]}),
     k_max=4,
 ))
-greedy = fr.rank_det_greedy(trap)
+greedy = fr.rank(trap, "detgreedy")
 print("\ngreedy on the trap task:", greedy.attribute_labels(),
       "-> infeasible at", fr.infeasible_prefixes(greedy, trap.desired).tolist())
 
@@ -55,12 +55,12 @@ print("\ngreedy on the trap task:", greedy.attribute_labels(),
 # any alphabet size. On the trap task it instead refuses: the pools cannot
 # supply the second a1/a2 candidate its floors demand.
 try:
-    fr.rank_det_const_sort(trap)
+    fr.rank(trap, "detconstsort")
 except fr.InsufficientCandidates as exc:
     print("constrained sort refuses the trap task:", exc)
 
 # fallback=True substitutes the nearest servable attribute instead of
 # raising, and counts every substitution.
-patched = fr.rank_det_const_sort(trap, fallback=True)
+patched = fr.rank(trap, "detconstsort", fallback=True)
 print("with fallback:", patched.attribute_labels(),
       f"({patched.fallback_events} substitutions)")

@@ -53,15 +53,7 @@ from .model import (
     task_from_dict,
     validate_task,
 )
-from .rerank import (
-    Algorithm,
-    rank,
-    rank_det_cons,
-    rank_det_const_sort,
-    rank_det_greedy,
-    rank_det_relaxed,
-    rank_vanilla,
-)
+from .rerank import Algorithm, rank
 from .simulate import (
     AggregateRow,
     SimulationConfig,
@@ -119,11 +111,6 @@ __all__ = [
     "prefix_counts",
     "proportions_at_k",
     "rank",
-    "rank_det_cons",
-    "rank_det_const_sort",
-    "rank_det_greedy",
-    "rank_det_relaxed",
-    "rank_vanilla",
     "run_grid",
     "run_task",
     "skew_at_k",

@@ -73,4 +73,8 @@ class InsufficientCandidates(RankingError):
 
 
 class EmptyCandidateSets(RankingError):
-    """No attribute is eligible at the current position (internal guard)."""
+    """A fallback substitution found no attribute with a candidate left.
+
+    Only DetConstSort with fallback=True raises it: one counter step can
+    insert past k_max and ask for more candidates than the pools hold.
+    """

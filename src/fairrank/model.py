@@ -42,6 +42,16 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _as_list(values, what: str) -> list:
+    """list(values), or ValidationError when values is a scalar, None or a string."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return list(values)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be a list, got {values!r}")
+
+
 def _as_float_array(values, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=np.float64)
@@ -113,7 +123,8 @@ class ScoredPool:
     def from_mapping(cls, mapping: Mapping[str, Sequence[float]]) -> ScoredPool:
         labels = tuple(str(k) for k in mapping)
         scores = tuple(
-            _freeze(_as_float_array(list(v), f"pool scores for {k!r}")) for k, v in mapping.items()
+            _freeze(_as_float_array(_as_list(v, f"pool for {k!r}"), f"pool scores for {k!r}"))
+            for k, v in mapping.items()
         )
         return cls(labels=labels, scores=scores)
 
@@ -200,7 +211,7 @@ class RankedList:
         otherwise taken in the given order; positions must then be distinct
         and not NaN. Attribute labels must appear in `labels`.
         """
-        rows = list(records)
+        rows = _as_list(records, "ranked rows")
         if rows and all(isinstance(r, Mapping) and "position" in r for r in rows):
             try:
                 rows.sort(key=lambda r: r["position"])
@@ -258,7 +269,7 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
     Raises InsufficientCandidates when the surviving pools hold fewer than
     k_max candidates in total.
     """
-    if not isinstance(task.k_max, int) or isinstance(task.k_max, bool) or task.k_max < 1:
+    if not _is_int(task.k_max) or task.k_max < 1:
         raise ValidationError(f"k_max must be a positive integer, got {task.k_max!r}")
 
     if len(set(task.pool.labels)) != len(task.pool.labels):
@@ -297,7 +308,7 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
         raise InsufficientCandidates(
             f"pools hold {pool.total()} candidates, k_max is {task.k_max}"
         )
-    return RankingTask(desired=desired, pool=pool, k_max=task.k_max)
+    return RankingTask(desired=desired, pool=pool, k_max=int(task.k_max))
 
 
 def task_from_dict(obj) -> RankingTask:

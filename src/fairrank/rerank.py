@@ -27,16 +27,17 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
   first, each with movement bound k and swapped toward the front while the
   left neighbor scores lower and may still sit one position further down.
 
-Every selection goes through one kernel, _pick(counts, limit, nxt, key):
-over the attributes with counts[a] < limit[a] it takes the lowest key,
-then the higher next score nxt[a], then the lower index. Each pool is a
-list ending in a -inf sentinel and nxt[a] advances only when a wins, so
-nxt[a] == -inf marks an exhausted pool. detgreedy, detcons and detrelaxed
-call _pick with the floor row and a zero key, then, when no attribute is
-below its floor, with the ceiling row and the algorithm's key row (zeros
-for detgreedy, pressure classes for detcons, levels for detrelaxed). Rows
-and pools come from the task's table, built once per task and shared by
-all rankings of it; only the key rows are built per call, with numpy.
+Every selection goes through one kernel, _pick(counts, floor, limit, nxt,
+key): over the attributes with counts[a] < limit[a] it takes the lowest key,
+where an attribute below floor[a] keys -inf, then the higher next score
+nxt[a], then the lower index. Each pool is a list ending in a -inf sentinel
+and nxt[a] advances only when a wins, so nxt[a] == -inf marks an exhausted
+pool. detgreedy, detcons and detrelaxed make one _pick per position with the
+floor row, the ceiling row and their key row (zeros, pressure classes,
+levels); an attribute below its floor is below its ceiling too, so floors
+are served first, by next score. Rows and pools come from the task's table,
+built once per task and shared by all rankings of it; only the key rows are
+built per call, with numpy.
 
 Every tie anywhere resolves by ascending attribute index (the order labels
 appear in the desired distribution), which makes all algorithms fully
@@ -44,8 +45,9 @@ deterministic.
 
 When an algorithm demands an attribute whose pool is exhausted it raises
 InsufficientCandidates. With fallback=True it instead calls _pick again with
-the step's key (zeros for detconstsort), limited first by min(ceiling, pool
-length) and then by the pool length alone, and counts each substitution in
+a zero floor row and the step's key (zeros for a floor pick and for
+detconstsort), limited first by min(ceiling, pool length) and then by the
+pool length alone, and counts each substitution in
 RankedList.fallback_events.
 """
 
@@ -113,17 +115,18 @@ def _ceiling_keys(task: RankingTask, algorithm: Algorithm):
     return [[0] * len(p)] * task.k_max  # one shared row, never written
 
 
-def _pick(counts, limit, nxt, key) -> int:
+def _pick(counts, floor, limit, nxt, key) -> int:
     """Lowest key[a], then higher nxt[a], then lower a, over counts[a] < limit[a].
 
-    Returns -1 when no attribute qualifies. nxt[a] is -inf once a's pool is
-    exhausted, so an exhausted attribute loses every score tie but can
-    still win outright on the key.
+    An attribute below floor[a] keys -inf, so it beats every key. Returns -1
+    when no attribute qualifies. nxt[a] is -inf once a's pool is exhausted,
+    so an exhausted attribute loses every score tie but can still win
+    outright on the key.
     """
     best, best_key, best_score = -1, _INF, _NEG_INF
     for a, c in enumerate(counts):
         if c < limit[a]:
-            ka = key[a]
+            ka = _NEG_INF if c < floor[a] else key[a]
             if ka < best_key or (ka == best_key and nxt[a] > best_score):
                 best, best_key, best_score = a, ka, nxt[a]
     return best
@@ -132,8 +135,9 @@ def _pick(counts, limit, nxt, key) -> int:
 def _fallback_pick(counts, pools, ce, nxt, key) -> int:
     """_pick among below-ceiling attributes with candidates left, else any with some left."""
     lens = [len(s) - 1 for s in pools]  # without the -inf sentinel
+    no_floor = [0] * len(pools)
     for limit in ([min(c, n) for c, n in zip(ce, lens)], lens):
-        pick = _pick(counts, limit, nxt, key)
+        pick = _pick(counts, no_floor, limit, nxt, key)
         if pick >= 0:
             return pick
     raise EmptyCandidateSets("no attribute has remaining candidates")
@@ -143,26 +147,21 @@ def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool)
     """Serve attributes below their floor by next score; otherwise _pick by key."""
     _, _, floors, ceils, pools = task.table
     nxt = [s[0] for s in pools]
-    k_max = task.k_max
     keys = _ceiling_keys(task, algorithm)
     no_key = [0] * len(pools)
 
     counts = [0] * len(pools)
     out_attrs, out_scores = [], []
     events = 0
-    for i in range(k_max):
-        key = no_key
-        pick = _pick(counts, floors[i], nxt, key)
-        if pick < 0:
-            key = keys[i]
-            pick = _pick(counts, ceils[i], nxt, key)
-            if pick < 0:
-                raise EmptyCandidateSets("no attribute below its ceiling quota")
+    for i in range(task.k_max):
+        # never -1: sum_a ceil(k * p_a) >= k > sum(counts), so some a is below its ceiling
+        pick = _pick(counts, floors[i], ceils[i], nxt, keys[i])
         if nxt[pick] == _NEG_INF:
             if not fallback:
                 raise InsufficientCandidates(
                     f"{algorithm.value}: required attribute pool exhausted at position {i + 1}"
                 )
+            key = no_key if counts[pick] < floors[i][pick] else keys[i]
             pick = _fallback_pick(counts, pools, ceils[i], nxt, key)
             events += 1
         out_attrs.append(pick)
@@ -181,7 +180,7 @@ def _ranked(task: RankingTask, attrs, scores, events: int = 0) -> RankedList:
     )
 
 
-def rank_vanilla(task: RankingTask) -> RankedList:
+def _rank_vanilla(task: RankingTask) -> RankedList:
     """Merge all pools by descending score; ties by attribute index, then pool order."""
     lengths = [len(s) for s in task.pool.scores]
     scores = np.concatenate(task.pool.scores)
@@ -190,22 +189,7 @@ def rank_vanilla(task: RankingTask) -> RankedList:
     return _ranked(task, attrs[order], scores[order])
 
 
-def rank_det_greedy(task: RankingTask, fallback: bool = False) -> RankedList:
-    """Serve floor quotas first, then the best next score below ceilings."""
-    return _rank_greedy_family(task, Algorithm.DET_GREEDY, fallback)
-
-
-def rank_det_cons(task: RankingTask, fallback: bool = False) -> RankedList:
-    """Serve floor quotas first, then the soonest-binding ceiling constraint."""
-    return _rank_greedy_family(task, Algorithm.DET_CONS, fallback)
-
-
-def rank_det_relaxed(task: RankingTask, fallback: bool = False) -> RankedList:
-    """detcons with integerized constraint pressure; better scores within a class."""
-    return _rank_greedy_family(task, Algorithm.DET_RELAXED, fallback)
-
-
-def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList:
+def _rank_det_const_sort(task: RankingTask, fallback: bool) -> RankedList:
     """Insert candidates as floor quotas increment; sort back within movement bounds.
 
     A virtual prefix counter k advances from 1. At each k, the attributes
@@ -248,8 +232,7 @@ def rank_det_const_sort(task: RankingTask, fallback: bool = False) -> RankedList
                 ranked[i - 1], ranked[i] = item, ranked[i - 1]
                 i -= 1
         last_floor = fl
-    if len(ranked) < k_max:
-        raise EmptyCandidateSets("quota counter exhausted before the list filled")
+    assert len(ranked) >= k_max
     scores, _, attrs = zip(*ranked[:k_max])
     return _ranked(task, attrs, scores, events)
 
@@ -258,7 +241,7 @@ def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
     """Rank a validated task with the named algorithm."""
     algo = coerce_algorithm(algorithm)
     if algo is Algorithm.VANILLA:
-        return rank_vanilla(task)
+        return _rank_vanilla(task)
     if algo is Algorithm.DET_CONST_SORT:
-        return rank_det_const_sort(task, fallback)
+        return _rank_det_const_sort(task, fallback)
     return _rank_greedy_family(task, algo, fallback)

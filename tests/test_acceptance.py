@@ -94,7 +94,7 @@ def test_criterion_2_greedy_counterexample_trace():
         {"a1": [0.1], "a2": [0.2], "a3": [0.3], "a4": [0.4]},
         4,
     )
-    ranked = fr.rank_det_greedy(task)
+    ranked = fr.rank(task, "detgreedy")
     order = ranked.attribute_labels()
     ii = fr.infeasible_index(ranked, task.desired)
     prefixes = fr.infeasible_prefixes(ranked, task.desired).tolist()

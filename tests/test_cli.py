@@ -102,6 +102,12 @@ class TestRerankCommand:
         path = write_json(tmp_path / "nested.json", task)
         assert_one_error_line(run_cli("rerank", "--input", path, "--algorithm", algo))
 
+    @pytest.mark.parametrize("pool", [5, None, "95"])
+    def test_scalar_pool_rejected(self, tmp_path, pool):
+        task = {"k": 1, "desired": {"a": 0.5, "b": 0.5}, "pools": {"a": pool, "b": [0.7]}}
+        path = write_json(tmp_path / "scalar.json", task)
+        assert_one_error_line(run_cli("rerank", "--input", path, "--algorithm", "vanilla"))
+
     def test_exhaustion_exit_code_and_fallback(self, task_file):
         result = run_cli("rerank", "--input", task_file, "--algorithm", "detcons")
         assert result.returncode == 3

@@ -169,9 +169,14 @@ class TestValidateTask:
             )
 
     def test_bad_k_rejected(self):
-        for k in (0, -1, 1.5, "4", True):
+        for k in (0, -1, 1.5, "4", True, np.bool_(True), np.int64(0)):
             with pytest.raises(fr.ValidationError):
                 make_task({"a": 1.0}, {"a": [0.9]}, k)
+
+    def test_numpy_integer_k_accepted_and_stored_as_int(self):
+        task = make_task({"a": 1.0}, {"a": [0.9, 0.8, 0.7]}, np.int64(3))
+        assert task.k_max == 3 and type(task.k_max) is int
+        assert fr.rank(task, "detcons").scores.tolist() == [0.9, 0.8, 0.7]
 
     def test_negative_proportion_rejected(self):
         with pytest.raises(fr.DistributionNotNormalized):
@@ -197,6 +202,12 @@ class TestTaskFromDict:
         assert fr.task_from_dict(
             {"k": 2.0, "desired": {"a": 1.0}, "pools": {"a": [0.9, 0.8]}}
         ).k_max == 2
+
+    @pytest.mark.parametrize("pool", [5, None, True, "95"])
+    def test_scalar_pool_rejected(self, pool):
+        # list(5) used to raise a bare TypeError, and list("95") split a string into scores
+        with pytest.raises(fr.ValidationError, match="must be a list"):
+            fr.task_from_dict({"k": 1, "desired": {"a": 1.0}, "pools": {"a": pool}})
 
     def test_missing_keys_rejected(self):
         with pytest.raises(fr.ValidationError, match="missing"):
@@ -259,6 +270,11 @@ class TestRankedList:
             for pos, label in zip(positions, "aba")
         ]
         with pytest.raises(fr.ValidationError, match="position"):
+            fr.RankedList.from_records(records, ("a", "b"))
+
+    @pytest.mark.parametrize("records", [5, None, "ab"])
+    def test_rows_that_are_not_a_list_rejected(self, records):
+        with pytest.raises(fr.ValidationError, match="must be a list"):
             fr.RankedList.from_records(records, ("a", "b"))
 
     def test_malformed_row_rejected(self):

@@ -80,10 +80,10 @@ def assert_det_const_sort_matches_reference(task):
         expected = ref_det_const_sort(task)
     except fr.InsufficientCandidates as exc:
         with pytest.raises(fr.InsufficientCandidates) as raised:
-            fr.rank_det_const_sort(task)
+            fr.rank(task, "detconstsort")
         assert str(raised.value) == str(exc)
         return str(exc)
-    ranked = fr.rank_det_const_sort(task)
+    ranked = fr.rank(task, "detconstsort")
     assert (ranked.attributes.tolist(), ranked.scores.tolist()) == expected
     return None
 
@@ -104,40 +104,40 @@ def four_group_task():
 
 class TestVanilla:
     def test_global_score_merge(self):
-        ranked = fr.rank_vanilla(four_group_task())
+        ranked = fr.rank(four_group_task(), "vanilla")
         assert ranked.attribute_labels() == ["a4", "a3", "a2", "a1"]
         assert ranked.scores.tolist() == [0.4, 0.3, 0.2, 0.1]
 
     def test_single_attribute_passthrough(self):
         task = make_task({"a": 1.0}, {"a": [0.9, 0.8]}, 2)
-        ranked = fr.rank_vanilla(task)
+        ranked = fr.rank(task, "vanilla")
         assert ranked.scores.tolist() == [0.9, 0.8]
 
     def test_equal_scores_break_by_attribute_order(self):
         task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.5], "b": [0.5]}, 2)
-        assert fr.rank_vanilla(task).attribute_labels() == ["a", "b"]
+        assert fr.rank(task, "vanilla").attribute_labels() == ["a", "b"]
 
     def test_truncates_to_k(self):
         task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9, 0.8], "b": [0.7, 0.6]}, 3)
-        assert len(fr.rank_vanilla(task)) == 3
+        assert len(fr.rank(task, "vanilla")) == 3
 
 
 class TestDetGreedy:
     def test_four_group_counterexample_trace(self):
-        ranked = fr.rank_det_greedy(four_group_task())
+        ranked = fr.rank(four_group_task(), "detgreedy")
         assert ranked.attribute_labels() == ["a4", "a3", "a2", "a1"]
         desired = four_group_task().desired
         assert fr.infeasible_index(ranked, desired) == 1
         assert fr.infeasible_prefixes(ranked, desired).tolist() == [3]
 
     def test_balanced_hand_trace(self):
-        ranked = fr.rank_det_greedy(balanced_task())
+        ranked = fr.rank(balanced_task(), "detgreedy")
         assert ranked.attribute_labels() == ["a", "b", "a", "b"]
         assert ranked.scores.tolist() == [0.9, 0.7, 0.8, 0.6]
 
     def test_single_attribute_equals_vanilla(self):
         task = make_task({"a": 1.0}, {"a": [0.9, 0.5, 0.1]}, 3)
-        assert fr.rank_det_greedy(task).scores.tolist() == fr.rank_vanilla(task).scores.tolist()
+        assert fr.rank(task, "detgreedy").scores.tolist() == fr.rank(task, "vanilla").scores.tolist()
 
 
 class TestDetConsAndRelaxed:
@@ -164,8 +164,7 @@ class TestDetConsAndRelaxed:
         for algo, expected in (("detcons", 0), ("detrelaxed", 0), ("detgreedy", 2)):
             keys = _ceiling_keys(task, Algorithm(algo))
             assert all(c >= f for c, f in zip(counts, floors[9]))
-            assert _pick(counts, floors[9], nxt, [0, 0, 0]) == -1
-            assert _pick(counts, ceils[9], nxt, keys[9]) == expected
+            assert _pick(counts, floors[9], ceils[9], nxt, keys[9]) == expected
 
     def test_equal_pressures_tie_on_score(self):
         # under p = (0.05, 0.35, 0.6) at k = 59 every ceiling pressure
@@ -173,12 +172,13 @@ class TestDetConsAndRelaxed:
         # 60.00000000000001; the tie must go to the best next score
         p = (0.05, 0.35, 0.6)
         task = make_task(dict(zip("abc", p)), {a: [0.5] * 59 for a in "abc"}, 59)
-        ceils, keys = task.table.ceil_rows, _ceiling_keys(task, Algorithm.DET_CONS)
-        assert ceils[58] == [3, 21, 36]
+        floors, ceils = task.table.floor_rows, task.table.ceil_rows
+        keys = _ceiling_keys(task, Algorithm.DET_CONS)
+        assert floors[58] == [2, 20, 35] and ceils[58] == [3, 21, 36]
         assert ceils[58][1] / p[1] > ceils[58][0] / p[0] == 60.0
         assert keys[58][0] == keys[58][1] == keys[58][2]
-        # next scores after counts (2, 20, 35), all below their ceilings
-        assert _pick([2, 20, 35], ceils[58], [0.5, 0.9, 0.7], keys[58]) == 1
+        # next scores after counts (2, 20, 35), all at their floors and below their ceilings
+        assert _pick([2, 20, 35], floors[58], ceils[58], [0.5, 0.9, 0.7], keys[58]) == 1
 
     def test_decimal_mix_matches_exact_rational_reference(self):
         p = (0.05, 0.35, 0.6)
@@ -210,17 +210,46 @@ class TestDetConsAndRelaxed:
             fr.rank(four_group_task(), algo)
 
 
+class TestPick:
+    def test_below_floor_beats_every_key(self):
+        # a is below its floor: it wins over b's lower key and higher score,
+        # and still wins once its pool is exhausted, so the caller falls back
+        assert _pick([0, 0], [1, 0], [2, 2], [0.1, 0.9], [5, 0]) == 0
+        assert _pick([0, 0], [1, 0], [2, 2], [-math.inf, 0.9], [5, 0]) == 0
+        # among attributes below their floors the next score decides, not the key
+        assert _pick([0, 0, 0], [1, 1, 0], [1, 1, 1], [0.2, 0.3, 0.9], [0, 5, 0]) == 1
+
+    def test_one_scan_equals_floor_then_ceiling_scans(self):
+        def scan(counts, limit, nxt, key):
+            eligible = [a for a in range(len(counts)) if counts[a] < limit[a]]
+            return min(eligible, key=lambda a: (key[a], -nxt[a], a), default=-1)
+
+        rng = spawn_rng(41)
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            counts = rng.integers(0, 4, n).tolist()
+            floor = rng.integers(0, 4, n).tolist()
+            limit = [f + int(d) for f, d in zip(floor, rng.integers(0, 2, n))]
+            nxt = rng.choice([-math.inf, 0.25, 0.5, 0.75], n).tolist()
+            key = rng.integers(0, 3, n).tolist()
+            below = scan(counts, floor, nxt, [0] * n)
+            expected = below if below >= 0 else scan(counts, limit, nxt, key)
+            assert _pick(counts, floor, limit, nxt, key) == expected
+            # with a zero floor row it is the plain ceiling scan
+            assert _pick(counts, [0] * n, limit, nxt, key) == scan(counts, limit, nxt, key)
+
+
 class TestDetConstSort:
     def test_balanced_hand_trace_blocked_swap(self):
         # the position-4 insertion of a(0.8) cannot swap past b(0.7): b was
         # inserted at counter 2 and may not sit below position 2
-        ranked = fr.rank_det_const_sort(balanced_task())
+        ranked = fr.rank(balanced_task(), "detconstsort")
         assert ranked.attribute_labels() == ["a", "b", "a", "b"]
         assert ranked.scores.tolist() == [0.9, 0.7, 0.8, 0.6]
 
     def test_single_attribute_score_order(self):
         task = make_task({"a": 1.0}, {"a": [0.5, 0.4, 0.3]}, 3)
-        assert fr.rank_det_const_sort(task).scores.tolist() == [0.5, 0.4, 0.3]
+        assert fr.rank(task, "detconstsort").scores.tolist() == [0.5, 0.4, 0.3]
 
     def test_low_proportion_attributes_never_placed(self):
         task = make_task(
@@ -228,7 +257,7 @@ class TestDetConstSort:
             {"a1": [0.1, 0.05], "a2": [0.2, 0.15], "a3": [0.3], "a4": [0.4]},
             4,
         )
-        ranked = fr.rank_det_const_sort(task)
+        ranked = fr.rank(task, "detconstsort")
         assert ranked.attribute_labels() == ["a2", "a2", "a1", "a1"]
         assert ranked.scores.tolist() == [0.2, 0.15, 0.1, 0.05]
         assert fr.infeasible_index(ranked, task.desired) == 0
@@ -254,10 +283,10 @@ class TestFallback:
 
     def test_exhaustion_raises_by_default(self):
         with pytest.raises(fr.InsufficientCandidates):
-            fr.rank_det_greedy(self.exhausting_task())
+            fr.rank(self.exhausting_task(), "detgreedy")
 
     def test_fallback_substitutes_and_counts(self):
-        ranked = fr.rank_det_greedy(self.exhausting_task(), fallback=True)
+        ranked = fr.rank(self.exhausting_task(), "detgreedy", fallback=True)
         assert len(ranked) == 5
         assert ranked.scores.tolist() == [0.9, 0.8, 0.7, 0.65, 0.6]
         assert ranked.fallback_events == 2
@@ -336,7 +365,7 @@ class TestStructuralProperties:
         for trial in range(54):
             num_attr = 2 + trial % 9
             task = random_task(spawn_rng(19, trial), num_attr, pool_size=60, k=60)
-            ranked = fr.rank_det_const_sort(task)
+            ranked = fr.rank(task, "detconstsort")
             assert fr.infeasible_index(ranked, task.desired) == 0
 
 
@@ -392,6 +421,10 @@ class TestKernelProperties:
                 # detconstsort can still run out with fallback on
                 if not (algo == "detconstsort" and isinstance(relaxed, fr.EmptyCandidateSets)):
                     assert relaxed.fallback_events > 0
+            # with fallback the greedy family always fills the list: some attribute
+            # is below its ceiling at every position, and the pools hold k_max
+            if algo in GREEDY_FAMILY:
+                assert isinstance(relaxed, fr.RankedList)
 
     @settings(max_examples=300, deadline=None)
     @given(small_tasks())
@@ -406,7 +439,7 @@ class TestKernelProperties:
             for a, pool in enumerate(task.pool.scores)
             for i, score in enumerate(pool.tolist())
         )[: task.k_max]
-        ranked = fr.rank_vanilla(task)
+        ranked = fr.rank(task, "vanilla")
         assert ranked.attributes.tolist() == [a for _, a, _ in merged]
         assert ranked.scores.tolist() == [-neg for neg, _, _ in merged]
 
