@@ -9,6 +9,7 @@ warnings and summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Mapping
@@ -112,7 +113,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fairrank parser, built on first use and shared by every later call: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="fairrank",
         description="Rank candidate pools under a desired attribute distribution "
@@ -167,7 +170,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -15,6 +15,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -263,8 +264,9 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
     The returned task has: zero-proportion attribute values dropped (along
     with their pools), pools aligned to the desired label order (attributes
     missing from the pool mapping get empty pools), scores checked finite and
-    non-increasing, and all arrays frozen. With allow_unsorted=True, unsorted
-    pools are re-sorted descending instead of raising PoolNotSorted.
+    non-increasing, and all arrays frozen: the pools are read-only views of
+    one copy of all the scores. With allow_unsorted=True, unsorted pools are
+    re-sorted descending instead of raising PoolNotSorted.
 
     Raises InsufficientCandidates when the surviving pools hold fewer than
     k_max candidates in total.
@@ -282,28 +284,35 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
 
     labels: list[str] = []
     props: list[float] = []
-    pools: list[np.ndarray] = []
+    given: list[np.ndarray] = []
     for a, p in zip(task.desired.labels, task.desired.proportions):
-        if p == 0:
-            continue
-        scores = np.asarray(by_label.get(a, ()), dtype=np.float64)
-        if scores.ndim != 1:
-            raise ValidationError(f"pool for {a!r} must be a flat list of scores")
-        if not np.all(np.isfinite(scores)):
-            raise ValidationError(f"pool for {a!r} contains non-finite scores")
-        if scores.size > 1 and np.any(np.diff(scores) > 0):
-            if not allow_unsorted:
-                raise PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
-            scores = np.sort(scores)[::-1]
-        labels.append(a)
-        props.append(float(p))
-        pools.append(_freeze(scores.copy()))
+        if p != 0:
+            labels.append(a)
+            props.append(float(p))
+            given.append(np.asarray(by_label.get(a, ()), dtype=np.float64))
+    # all pools are checked in one pass over one copy of their scores; each is a slice flat[i:j]
+    flat = np.concatenate([s.ravel() for s in given])
+    spans = list(pairwise(accumulate((s.size for s in given), initial=0)))
+    # a rise from flat[j - 1] to flat[j] only crosses from one pool to the next
+    rises = set(np.flatnonzero(flat[1:] > flat[:-1]).tolist()) - {j - 1 for _, j in spans}
+    if rises or not np.isfinite(flat).all() or not all(s.ndim == 1 for s in given):
+        # report the first offending pool in label order, as a per-pool check would
+        for a, s, (i, j) in zip(labels, given, spans):
+            if s.ndim != 1:
+                raise ValidationError(f"pool for {a!r} must be a flat list of scores")
+            if not np.isfinite(flat[i:j]).all():
+                raise ValidationError(f"pool for {a!r} contains non-finite scores")
+            if any(i <= t < j for t in rises):
+                if not allow_unsorted:
+                    raise PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
+                flat[i:j] = np.sort(flat[i:j])[::-1]
+    _freeze(flat)
 
     # the task's own distribution is already checked unless a label was dropped
     desired = task.desired
     if len(labels) < len(desired):
         desired = DesiredDistribution(labels=tuple(labels), proportions=props)
-    pool = ScoredPool(labels=tuple(labels), scores=tuple(pools))
+    pool = ScoredPool(labels=tuple(labels), scores=tuple(flat[i:j] for i, j in spans))
     if pool.total() < task.k_max:
         raise InsufficientCandidates(
             f"pools hold {pool.total()} candidates, k_max is {task.k_max}"

@@ -22,6 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -222,8 +223,8 @@ def write_csv(rows, path) -> None:
 def write_diagnostics(rows, config: SimulationConfig, path) -> int:
     """Write a sidecar CSV for cells that excluded failed tasks.
 
-    Returns the number of flagged cells; writes nothing when all cells
-    covered every task.
+    Returns the number of flagged cells. When all cells covered every task it
+    writes nothing and removes any sidecar an earlier run left at path.
     """
     expected = config.num_distributions * config.replications
     flagged = [
@@ -232,6 +233,7 @@ def write_diagnostics(rows, config: SimulationConfig, path) -> int:
         if r.task_count < expected
     ]
     if not flagged:
+        Path(path).unlink(missing_ok=True)
         return 0
     with open(path, "w", newline="") as fh:
         fh.write("num_attr,algorithm,excluded_tasks,task_count,expected\n")

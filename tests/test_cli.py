@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from fairrank.cli import build_parser, main
+
 FOUR_GROUP_TASK = {
     "k": 4,
     "desired": {"a1": 0.4, "a2": 0.4, "a3": 0.1, "a4": 0.1},
@@ -33,6 +35,13 @@ def assert_one_error_line(result):
 @pytest.fixture
 def task_file(tmp_path):
     return write_json(tmp_path / "task.json", FOUR_GROUP_TASK)
+
+
+@pytest.fixture
+def not_utf8_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
 
 
 class TestRerankCommand:
@@ -107,6 +116,11 @@ class TestRerankCommand:
         task = {"k": 1, "desired": {"a": 0.5, "b": 0.5}, "pools": {"a": pool, "b": [0.7]}}
         path = write_json(tmp_path / "scalar.json", task)
         assert_one_error_line(run_cli("rerank", "--input", path, "--algorithm", "vanilla"))
+
+    def test_input_that_is_not_utf8_rejected(self, not_utf8_file):
+        assert_one_error_line(
+            run_cli("rerank", "--input", not_utf8_file, "--algorithm", "vanilla")
+        )
 
     def test_exhaustion_exit_code_and_fallback(self, task_file):
         result = run_cli("rerank", "--input", task_file, "--algorithm", "detcons")
@@ -216,6 +230,16 @@ class TestMeasureCommand:
         # none may escape as a TypeError traceback (exit 1) or be measured
         assert_one_error_line(self.measure(tmp_path, records, {"a": 0.5, "b": 0.5}))
 
+    @pytest.mark.parametrize("flag", ["--input", "--desired", "--task"])
+    def test_input_that_is_not_utf8_rejected(self, task_file, tmp_path, not_utf8_file, flag):
+        files = {
+            "--input": write_json(tmp_path / "ranked.json", [{"attribute": "a1", "score": 0.1}]),
+            "--desired": write_json(tmp_path / "desired.json", FOUR_GROUP_TASK["desired"]),
+            "--task": task_file,
+        }
+        files[flag] = not_utf8_file
+        assert_one_error_line(run_cli("measure", *[x for kv in files.items() for x in kv]))
+
     def test_depth_flag_out_of_range_rejected(self, tmp_path):
         records = [{"position": 1, "attribute": "a", "score": 0.5}]
         result = self.measure(tmp_path, records, {"a": 1.0}, "--k", "9")
@@ -273,3 +297,33 @@ class TestSimulateCommand:
             "simulate", "--attr-min", "1", "--output", str(tmp_path / "x.csv")
         )
         assert result.returncode == 2
+
+    def test_sidecar_removed_when_a_rerun_excludes_nothing(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        sidecar = tmp_path / "grid.csv.diagnostics.csv"
+        assert self.simulate(out, "--pool-size", "2", "--k", "4").returncode == 0
+        assert len(sidecar.read_text().splitlines()) > 1
+        result = self.simulate(out, "--pool-size", "50")
+        assert result.returncode == 0
+        assert not sidecar.exists()
+        assert "excluded" not in result.stderr
+
+
+class TestSharedParser:
+    """main parses every argv with one parser, built once per process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_in_process_runs_after_errors_match_a_fresh_process(self, task_file, tmp_path):
+        args = ["rerank", "--input", task_file, "--algorithm", "detcons", "--fallback"]
+        fresh = tmp_path / "fresh.json"
+        assert run_cli(*args, "--output", str(fresh)).returncode == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["rerank", "--algorithm", "bogosort"])
+        assert usage.value.code == 2
+        bad = write_json(tmp_path / "bad_task.json", dict(FOUR_GROUP_TASK, k=0))
+        assert main(["rerank", "--input", bad, "--algorithm", "vanilla"]) == 2
+        out = tmp_path / "in_process.json"
+        assert main([*args, "--output", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrank as fr
@@ -96,6 +98,80 @@ class TestDesiredDistribution:
         assert not d.proportions.flags.writeable
 
 
+def reference_validate(task, allow_unsorted=False):
+    """validate_task's pool checks written one pool at a time, as a reference."""
+    by_label = dict(zip(task.pool.labels, task.pool.scores))
+    labels, props, pools = [], [], []
+    for a, p in zip(task.desired.labels, task.desired.proportions):
+        if p == 0:
+            continue
+        scores = np.asarray(by_label.get(a, ()), dtype=np.float64)
+        if scores.ndim != 1:
+            raise fr.ValidationError(f"pool for {a!r} must be a flat list of scores")
+        if not np.all(np.isfinite(scores)):
+            raise fr.ValidationError(f"pool for {a!r} contains non-finite scores")
+        if scores.size > 1 and np.any(np.diff(scores) > 0):
+            if not allow_unsorted:
+                raise fr.PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
+            scores = np.sort(scores)[::-1]
+        labels.append(a)
+        props.append(float(p))
+        pools.append(scores.tolist())
+    if sum(map(len, pools)) < task.k_max:
+        raise fr.InsufficientCandidates(
+            f"pools hold {sum(map(len, pools))} candidates, k_max is {task.k_max}"
+        )
+    return tuple(labels), props, pools
+
+
+def outcome(validate, task, allow_unsorted):
+    """(error class, message), or the validated labels, proportions and pool scores."""
+    try:
+        result = validate(task, allow_unsorted=allow_unsorted)
+    except fr.FairRankError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, fr.RankingTask):
+        assert result.pool.labels == result.desired.labels
+        result = (
+            result.desired.labels,
+            result.desired.proportions.tolist(),
+            [s.tolist() for s in result.pool.scores],
+        )
+    return result
+
+
+SCORES = st.sampled_from([1.0, 0.9, 0.5, 0.5, 0.0, -0.0, -1.0, 1e308, -1e308])
+BAD_SCORES = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@st.composite
+def pool_tasks(draw):
+    """Tasks with missing, empty, unsorted, non-finite or nested pools and zero-proportion labels."""
+    n = draw(st.integers(1, 5))
+    labels = [f"a{i}" for i in range(n)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    pools = {}
+    for a in draw(st.permutations(labels)):
+        kind = draw(
+            st.sampled_from(["missing", "empty", "sorted", "sorted", "any", "bad", "nested"])
+        )
+        if kind == "missing":
+            continue
+        scores = [] if kind == "empty" else draw(st.lists(SCORES, min_size=1, max_size=5))
+        if kind == "sorted":
+            scores.sort(reverse=True)
+        if kind == "bad":
+            scores.insert(draw(st.integers(0, len(scores))), draw(BAD_SCORES))
+        pools[a] = [[x] for x in scores] if kind == "nested" else scores
+    return fr.RankingTask(
+        desired=fr.DesiredDistribution.from_mapping(
+            {a: w / sum(weights) for a, w in zip(labels, weights)}
+        ),
+        pool=fr.ScoredPool.from_mapping(pools),
+        k_max=draw(st.integers(1, 8)),
+    )
+
+
 class TestValidateTask:
     def test_well_formed_task_round_trips(self):
         task = make_task(
@@ -183,11 +259,68 @@ class TestValidateTask:
             make_task({"a": 1.5, "b": -0.5}, {"a": [0.9], "b": [0.7]}, 1)
 
     def test_validated_arrays_frozen(self):
-        task = make_task({"a": 1.0}, {"a": [0.9]}, 1)
-        with pytest.raises(ValueError):
-            task.pool.scores[0][0] = 0.5
+        task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9], "b": [0.7, 0.1]}, 1)
+        for scores in task.pool.scores:
+            with pytest.raises(ValueError):
+                scores[0] = 0.5
         with pytest.raises(ValueError):
             task.desired.proportions[0] = 0.5
+
+    @pytest.mark.parametrize("b", [[0.7, 0.1], [0.1, 0.7]])
+    def test_pools_are_views_of_one_read_only_array(self, b):
+        task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9], "b": b}, 3, allow_unsorted=True)
+        base = task.pool.scores[0].base
+        assert all(s.base is base for s in task.pool.scores)
+        assert not base.flags.writeable
+        assert base.tolist() == [0.9, 0.7, 0.1]
+
+    def test_caller_arrays_not_sorted_in_place(self):
+        unsorted = np.array([0.1, 0.7])
+        pool = fr.ScoredPool(labels=("a", "b"), scores=(np.array([0.9]), unsorted))
+        desired = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5})
+        task = fr.RankingTask(desired=desired, pool=pool, k_max=3)
+        assert fr.validate_task(task, allow_unsorted=True).pool.scores[1].tolist() == [0.7, 0.1]
+        assert unsorted.tolist() == [0.1, 0.7]
+
+    @pytest.mark.parametrize(
+        "pools",
+        [
+            {"a": [float("inf"), float("inf")], "b": [0.5]},
+            {"a": [0.9], "b": [-float("inf"), -float("inf")]},
+            {"a": [float("inf")], "b": [float("inf")]},
+            {"a": [-float("inf")], "b": [float("nan"), float("inf")]},
+        ],
+    )
+    def test_non_finite_pool_rejected_without_warning(self, pools):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fr.ValidationError, match="non-finite"):
+                make_task({"a": 0.5, "b": 0.5}, pools, 1)
+
+    def test_extreme_scores_across_pools_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            task = make_task({"a": 0.5, "b": 0.5}, {"a": [-1e308], "b": [1e308, -1e308]}, 3)
+        assert [s.tolist() for s in task.pool.scores] == [[-1e308], [1e308, -1e308]]
+
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_first_offending_pool_in_label_order_is_reported(self, first):
+        faults = [[0.1, 0.9], [float("nan")], [[0.5]]]
+        order = faults[first:] + faults[:first]
+        pools = (np.array(order[0]), np.array(order[1]), np.array(order[2]))
+        desired = fr.DesiredDistribution.from_mapping({"a": 0.25, "b": 0.25, "c": 0.5})
+        task = fr.RankingTask(desired=desired, pool=fr.ScoredPool(("a", "b", "c"), pools), k_max=1)
+        assert outcome(fr.validate_task, task, False) == outcome(reference_validate, task, False)
+        assert outcome(fr.validate_task, task, False)[1].startswith("pool for 'a'")
+
+    @settings(max_examples=400, deadline=None)
+    @given(pool_tasks(), st.booleans())
+    def test_one_pass_matches_per_pool_reference(self, task, allow_unsorted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(fr.validate_task, task, allow_unsorted)
+        with np.errstate(over="ignore"):  # the reference's np.diff overflows on -1e308 - 1e308
+            assert got == outcome(reference_validate, task, allow_unsorted)
 
 
 class TestTaskFromDict:
