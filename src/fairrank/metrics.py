@@ -31,10 +31,16 @@ infeasible_index counts prefix lengths k where some attribute value sits
 below its floor quota floor(k * p_a); infeasible_count counts the individual
 (attribute, k) violations. Quotas round through quota.floor_quotas so these
 checks agree with the re-ranking algorithms.
+
+A chain of metric calls on one list counts its prefixes and rounds its
+distribution's floors once: prefix_counts keeps the last list's read-only
+table and quota.floor_table the last distribution's, each beside a weakref to
+its object. Both objects own read-only arrays, so no result depends on a slot.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +54,14 @@ from .errors import (
     ZeroDenominator,
     ZeroDesiredProportion,
 )
-from .model import DesiredDistribution, RankedList, _as_float_array, _is_int
-from .quota import floor_quotas, prefix_products
+from .model import DesiredDistribution, RankedList, _as_float_array, _freeze, _is_int
+from .quota import floor_table
 
 SKEW_EPSILON = 1e-6
 
 DEFAULT_DEPTH = 100
+
+_last_counts = (lambda: None, None)  # (weakref to a RankedList, its prefix counts)
 
 
 def _check_alignment(ranked: RankedList, desired: DesiredDistribution) -> None:
@@ -70,18 +78,22 @@ def _check_depth(k, n: int) -> int:
 
 
 def prefix_counts(ranked: RankedList) -> np.ndarray:
-    """(n, num_attrs) cumulative attribute counts; row i covers the top i+1."""
-    n = len(ranked)
-    onehot = np.zeros((n, len(ranked.labels)), dtype=np.int64)
-    onehot[np.arange(n), ranked.attributes] = 1
-    return onehot.cumsum(axis=0)
+    """Read-only (n, num_attrs) cumulative attribute counts; row i covers the top i+1."""
+    global _last_counts
+    ref, cum = _last_counts
+    if ref() is not ranked:
+        n = len(ranked)
+        onehot = np.zeros((n, len(ranked.labels)), dtype=np.int64)
+        onehot[np.arange(n), ranked.attributes] = 1
+        cum = _freeze(onehot.cumsum(axis=0))
+        _last_counts = (weakref.ref(ranked), cum)
+    return cum
 
 
 def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
     """Observed attribute proportions in the top k."""
     k = _check_depth(k, len(ranked))
-    counts = np.bincount(ranked.attributes[:k], minlength=len(ranked.labels))
-    return counts / k
+    return prefix_counts(ranked)[k - 1] / k
 
 
 def _skews(shares: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
@@ -158,12 +170,11 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     _check_alignment(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
-    p = desired.proportions
-    present = np.bincount(ranked.attributes, minlength=len(p)) > 0
-    if np.any(present & (p <= 0)):
+    p, cum = desired.proportions, prefix_counts(ranked)
+    if np.any((cum[-1] > 0) & (p <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
     ks = np.arange(1.0, len(ranked) + 1)
-    return float(_ndkl_from_counts(prefix_counts(ranked), p, ks, np.log2(ks + 1)))
+    return float(_ndkl_from_counts(cum, p, ks, np.log2(ks + 1)))
 
 
 def _score_vector(values, what: str) -> np.ndarray:
@@ -220,8 +231,7 @@ def ndcg(ranked, ideal_scores) -> float:
 def _floor_violations(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """(n, num_attrs) mask of prefix counts below floor(k * p_a); row i is k = i + 1."""
     _check_alignment(ranked, desired)
-    floors = floor_quotas(prefix_products(desired.proportions, len(ranked)))
-    return prefix_counts(ranked) < floors
+    return prefix_counts(ranked) < floor_table(desired.proportions, len(ranked))
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
@@ -323,7 +333,7 @@ def measure(
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    floors = floor_quotas(prefix_products(desired.proportions, n))
+    floors = floor_table(desired.proportions, n)
     cum, scores = prefix_counts(ranked)[None], ranked.scores[None]
     skew, columns = _columns(cum, scores, desired, k, ideal, floors)
     index, count, low, high, div, gain = [column.item(0) for column in columns]

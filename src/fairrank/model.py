@@ -28,7 +28,7 @@ from .errors import (
     UnknownAttribute,
     ValidationError,
 )
-from .quota import ceil_quotas, floor_quotas, prefix_products
+from .quota import ceil_quotas, floor_table, prefix_products
 
 NORMALIZATION_TOL = 1e-9
 
@@ -36,6 +36,13 @@ NORMALIZATION_TOL = 1e-9
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _sealed(given, arr: np.ndarray) -> np.ndarray:
+    """arr, the array form of given, made read-only; copied first if a caller can still write it."""
+    if not arr.flags.owndata or (arr is given and arr.flags.writeable):
+        arr = arr.copy()
+    return _freeze(arr)
 
 
 def _is_int(x) -> bool:
@@ -148,13 +155,14 @@ class RankingTask:
     def table(self) -> TaskTable:
         """A validated task's quotas and pools, built on first use and shared by every ranking.
 
-        floors and ceils are the int64 tables floor(k * p_a) and ceil(k * p_a),
-        row i for k = i + 1, over k_max + n + 2 rows (DetConstSort's counter
-        bound); floor_rows and ceil_rows are the same as lists, and each pool
-        is a list of its scores ending in a -inf sentinel.
+        floors (from quota.floor_table, which measure reads too) and ceils are
+        the read-only int64 tables floor(k * p_a) and ceil(k * p_a), row i for
+        k = i + 1, over k_max + n + 2 rows (DetConstSort's counter bound);
+        floor_rows and ceil_rows are the same as lists, and each pool is a
+        list of its scores ending in a -inf sentinel.
         """
-        products = prefix_products(self.desired.proportions, self.k_max + len(self.desired) + 2)
-        floors, ceils = floor_quotas(products), ceil_quotas(products)
+        p, n_rows = self.desired.proportions, self.k_max + len(self.desired) + 2
+        floors, ceils = floor_table(p, n_rows), _freeze(ceil_quotas(prefix_products(p, n_rows)))
         pools = [s.tolist() + [-np.inf] for s in self.pool.scores]
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
@@ -170,9 +178,11 @@ class RankedList:
 
     Construction rejects attribute and score arrays of different shapes
     (LengthMismatch), attributes that are not a flat array of integers (an
-    empty one may have any dtype) and non-finite scores (ValidationError),
-    and an attribute index outside 0..len(labels) - 1 (UnknownAttribute), so
-    the metrics can take any RankedList as well-formed.
+    empty one may have any dtype) and non-numeric or non-finite scores
+    (ValidationError), and an attribute index outside 0..len(labels) - 1
+    (UnknownAttribute), so the metrics can take any RankedList as
+    well-formed. It stores read-only arrays that it owns (scores as float64),
+    copying a writable array or a view, so no caller can change it later.
     """
 
     labels: tuple[str, ...]
@@ -181,15 +191,18 @@ class RankedList:
     fallback_events: int = 0
 
     def __post_init__(self):
-        attrs = np.asarray(self.attributes)
-        if attrs.shape != np.shape(self.scores):
-            raise LengthMismatch(f"{attrs.size} attributes but {np.size(self.scores)} scores")
+        attrs = _sealed(self.attributes, np.asarray(self.attributes))
+        scores = _sealed(self.scores, _as_float_array(self.scores, "ranked scores"))
+        if attrs.shape != scores.shape:
+            raise LengthMismatch(f"{attrs.size} attributes but {scores.size} scores")
         if attrs.ndim != 1 or (attrs.size and attrs.dtype.kind not in "iu"):
             raise ValidationError(f"attributes must be 1-D integers, got {attrs.dtype} {attrs.shape}")
         if attrs.size and (attrs.min() < 0 or attrs.max() >= len(self.labels)):
             raise UnknownAttribute(f"attribute index outside 0..{len(self.labels) - 1}")
-        if not np.isfinite(self.scores).all():
+        if not np.isfinite(scores).all():
             raise ValidationError("ranked scores must be finite")
+        object.__setattr__(self, "attributes", attrs)
+        object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -289,7 +302,7 @@ def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTas
         if p != 0:
             labels.append(a)
             props.append(float(p))
-            given.append(np.asarray(by_label.get(a, ()), dtype=np.float64))
+            given.append(_as_float_array(by_label.get(a, ()), f"pool scores for {a!r}"))
     # all pools are checked in one pass over one copy of their scores; each is a slice flat[i:j]
     flat = np.concatenate([s.ravel() for s in given])
     spans = list(pairwise(accumulate((s.size for s in given), initial=0)))

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
-from .metrics import _columns, prefix_counts
+from .metrics import _columns
 from .model import (
     DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int, validate_task,
 )
@@ -155,7 +155,8 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     if not rankings:
         return TaskOutcome({}, failures)
     lists = rankings.values()
-    cum = np.stack([prefix_counts(r) for r in lists])
+    attrs = np.stack([r.attributes for r in lists])[:, :, None]  # one pass for all m rankings
+    cum = (attrs == np.arange(len(task.desired))).cumsum(axis=1)
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
     scores, floors = np.stack([r.scores for r in lists]), task.table.floors[: task.k_max]
     _, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairrank as fr
-from conftest import make_ranked, make_task
+from conftest import make_ranked, make_task, ref_floor
 
 HALF = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5})
 
@@ -412,3 +416,150 @@ class TestNonNumericInputs:
     def test_rejected_as_validation_error(self, call):
         with pytest.raises(fr.ValidationError, match="numeric"):
             call()
+
+
+def random_case(rng, n_attr, length):
+    """A fresh list of `length` attribute indices and a fresh distribution over n_attr labels."""
+    labels = tuple(f"g{i}" for i in range(n_attr))
+    w = rng.random(n_attr) + 0.05
+    desired = fr.DesiredDistribution(labels=labels, proportions=w / w.sum())
+    attrs = rng.integers(0, n_attr, size=length)
+    scores = np.sort(rng.random(length))[::-1]
+    return fr.RankedList(labels=labels, attributes=attrs, scores=scores), desired
+
+
+def copies(ranked, desired):
+    """Equal objects that share no array with the originals."""
+    return (
+        fr.RankedList(ranked.labels, ranked.attributes.copy(), ranked.scores.copy()),
+        fr.DesiredDistribution(desired.labels, desired.proportions.copy()),
+    )
+
+
+# one call of each metric; depths scale with the list
+METRIC_CALLS = [
+    lambda r, d: fr.measure(r, d).to_dict(),
+    lambda r, d: fr.infeasible_prefixes(r, d).tolist(),
+    lambda r, d: fr.infeasible_count(r, d),
+    lambda r, d: fr.ndkl(r, d),
+    lambda r, d: [fr.skews_at_k(r, d, k).tolist() for k in {1, (len(r) + 1) // 2, len(r)}],
+    lambda r, d: fr.min_skew_at_k(r, d, len(r)),
+    lambda r, d: fr.max_skew_at_k(r, d, (len(r) + 1) // 2),
+    lambda r, d: fr.proportions_at_k(r, len(r)).tolist(),
+    lambda r, d: fr.prefix_counts(r).tolist(),
+]
+
+
+def every_metric(ranked, desired):
+    return [call(ranked, desired) for call in METRIC_CALLS]
+
+
+def brute_min_skew(seq, p, k):
+    shares = [max(seq[:k].count(a) / k, fr.metrics.SKEW_EPSILON / k) for a in range(len(p))]
+    return min(min(math.log(s / pa) for s, pa in zip(shares, p)), 0.0)
+
+
+def brute_infeasible_count(seq, p):
+    return sum(
+        seq[:k].count(a) < ref_floor(k * pa)
+        for k in range(1, len(seq) + 1)
+        for a, pa in enumerate(p)
+    )
+
+
+class TestTableSlots:
+    """The metrics keep the last list's prefix counts and the last distribution's floors."""
+
+    def test_tables_are_read_only(self):
+        task = make_task({"a": 0.3, "b": 0.7}, {"a": [0.9, 0.5], "b": [0.8, 0.7]}, 3)
+        ranked = fr.rank(task, "detgreedy")
+        for table in (fr.prefix_counts(ranked), task.table.floors, task.table.ceils):
+            with pytest.raises(ValueError):
+                table[0, 0] = 9
+
+    def test_alternating_objects_match_fresh_copies(self):
+        rng = np.random.default_rng(11)
+        lists = [random_case(rng, 4, n)[0] for n in (7, 40)]
+        dists = [random_case(rng, 4, 1)[1] for _ in range(2)]
+        pairs = [(r, d) for r in lists for d in dists]
+        want = [every_metric(*copies(r, d)) for r, d in pairs]
+        # each single call switches list, distribution or both; the orders give a
+        # distribution its short list before its long one, and the other way round
+        for order in ((0, 1, 2, 3), (0, 2, 1, 3), (3, 1, 2, 0)):
+            for c, call in enumerate(METRIC_CALLS):
+                for i in order:
+                    assert call(*pairs[i]) == want[i][c]
+
+    def test_task_table_and_measure_share_floors(self):
+        desired = {"a": 0.3, "b": 0.7}
+        pools = {"a": [0.9, 0.5, 0.4, 0.3], "b": [0.8, 0.7, 0.1, 0.1]}
+        task, fresh = make_task(desired, pools, 5), make_task(desired, pools, 5)
+        want = fr.measure(fr.rank(fresh, "detcons"), fresh.desired).to_dict()
+        ranked = fr.rank(task, "detcons")  # builds the task's 5 + 2 + 2 row table
+        assert fr.measure(ranked, task.desired).to_dict() == want
+        assert task.table.floors.tolist() == [
+            [ref_floor(k * p) for p in task.desired.proportions] for k in range(1, 5 + 2 + 3)
+        ]
+        # the longest table is kept, so measure read the task's own rows
+        shorter = fr.quota.floor_table(task.desired.proportions, 5)
+        assert np.shares_memory(shorter, task.table.floors)
+
+    def test_new_objects_after_the_last_ones_died(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            ranked, desired = random_case(rng, 3, 30)
+            fr.infeasible_prefixes(ranked, desired)
+            del ranked, desired
+            gc.collect()
+            # same shapes, other data: a recycled id must not find the dead tables
+            ranked, desired = random_case(rng, 3, 30)
+            seq, p = ranked.attributes.tolist(), desired.proportions.tolist()
+            counts = [[seq[:k].count(a) for a in range(3)] for k in range(1, 31)]
+            assert fr.prefix_counts(ranked).tolist() == counts
+            assert fr.infeasible_count(ranked, desired) == brute_infeasible_count(seq, p)
+            assert every_metric(ranked, desired) == every_metric(*copies(ranked, desired))
+
+    def test_standalone_calls_match_brute_force(self):
+        rng = np.random.default_rng(23)
+        for n_attr in range(1, 8):
+            for length in (1, 9, 120, 1000):
+                ranked, desired = random_case(rng, n_attr, length)
+                seq, p = ranked.attributes.tolist(), desired.proportions.tolist()
+                for k in sorted({1, min(10, length), length}):
+                    want = brute_min_skew(seq, p, k)
+                    got = fr.min_skew_at_k(*copies(ranked, desired), k)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+                got = fr.infeasible_count(*copies(ranked, desired))
+                assert got == brute_infeasible_count(seq, p)
+
+    def test_threads_measuring_their_own_lists_match_serial_results(self):
+        rng = np.random.default_rng(31)
+        work = [[random_case(rng, 1 + (t + i) % 5, 5 + 9 * i) for i in range(3)] for t in range(8)]
+        serial = [[every_metric(r, d) for r, d in cases] for cases in work]
+        mismatches, rounds, errors = [0] * 8, [0] * 8, [None] * 8
+        deadline = time.monotonic() + 2.0
+
+        def measure_own(t):
+            try:
+                while rounds[t] < 50 and time.monotonic() < deadline:
+                    if [every_metric(r, d) for r, d in work[t]] != serial[t]:
+                        mismatches[t] += 1
+                    rounds[t] += 1
+            except Exception as exc:  # a raise would otherwise only end the thread
+                errors[t] = repr(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=measure_own, args=(t,), daemon=True)
+                       for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [None] * 8
+        assert all(rounds), rounds
+        assert mismatches == [0] * 8

@@ -244,6 +244,19 @@ class TestValidateTask:
                 )
             )
 
+    @pytest.mark.parametrize("scores, match", [(["x"], "numeric"), ([None], "non-finite")])
+    def test_non_numeric_scores_of_a_direct_pool_rejected(self, scores, match):
+        # a ScoredPool built directly skips from_mapping's conversion; "x" used
+        # to escape validate_task as a bare ValueError from np.asarray
+        task = fr.RankingTask(
+            desired=fr.DesiredDistribution.from_mapping({"a": 1.0}),
+            pool=fr.ScoredPool(labels=("a",), scores=(scores,)),
+            k_max=1,
+        )
+        with pytest.raises(fr.ValidationError, match=match) as info:
+            fr.validate_task(task)
+        assert "'a'" in str(info.value)
+
     def test_bad_k_rejected(self):
         for k in (0, -1, 1.5, "4", True, np.bool_(True), np.int64(0)):
             with pytest.raises(fr.ValidationError):
@@ -472,3 +485,44 @@ class TestRankedList:
         assert len(empty) == 0
         # an empty list may carry any dtype, e.g. np.asarray([])
         assert len(fr.RankedList(labels=("a",), attributes=np.asarray([]), scores=[])) == 0
+
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "read-only-view"])
+    def test_later_writes_by_the_caller_do_not_reach_the_list(self, view):
+        attrs, scores = np.array([0, 1, 0, 1]), np.array([0.9, 0.8, 0.7, 0.6])
+        given = (attrs, scores)
+        if view:
+            given = tuple(a[:] for a in given)
+            for a in given:
+                a.setflags(write=False)
+        ranked = fr.RankedList(labels=("a", "b"), attributes=given[0], scores=given[1])
+        desired = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5})
+        attrs[1] = 5  # measure used to raise a bare IndexError
+        scores[2] = np.nan  # measure used to say "ideal scores must be sorted"
+        assert ranked.attributes.tolist() == [0, 1, 0, 1]
+        assert ranked.scores.tolist() == [0.9, 0.8, 0.7, 0.6]
+        fresh = fr.RankedList(("a", "b"), [0, 1, 0, 1], [0.9, 0.8, 0.7, 0.6])
+        assert fr.measure(ranked, desired).to_dict() == fr.measure(fresh, desired).to_dict()
+        assert fr.infeasible_prefixes(ranked, desired).tolist() == []
+
+    def test_stores_read_only_arrays_that_it_owns(self):
+        ranked = fr.RankedList(labels=("a", "b"), attributes=[0, 1], scores=[0.5, 0.4])
+        for arr in (ranked.attributes, ranked.scores):
+            assert isinstance(arr, np.ndarray)
+            assert arr.flags.owndata and not arr.flags.writeable
+        assert ranked.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            ranked.attributes[0] = 1
+        with pytest.raises(ValueError):
+            ranked.scores[0] = 1.0
+
+    def test_frozen_arrays_it_is_given_are_kept_without_a_copy(self):
+        # the rankers hand over read-only arrays they own
+        attrs, scores = np.array([0, 1]), np.array([0.5, 0.4])
+        for a in (attrs, scores):
+            a.setflags(write=False)
+        ranked = fr.RankedList(labels=("a", "b"), attributes=attrs, scores=scores)
+        assert ranked.attributes is attrs and ranked.scores is scores
+
+    def test_non_numeric_scores_rejected(self):
+        with pytest.raises(fr.ValidationError, match="numeric"):
+            fr.RankedList(labels=("a",), attributes=[0], scores=["x"])
