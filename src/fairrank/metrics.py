@@ -32,10 +32,10 @@ below its floor quota floor(k * p_a); infeasible_count counts the individual
 (attribute, k) violations. Quotas round through quota.floor_quotas so these
 checks agree with the re-ranking algorithms.
 
-A chain of metric calls on one list counts its prefixes and rounds its
-distribution's floors once: prefix_counts keeps the last list's read-only
-table and quota.floor_table the last distribution's, each beside a weakref to
-its object. Both objects own read-only arrays, so no result depends on a slot.
+A chain of metric calls on one (list, distribution) pair counts prefixes,
+rounds floors and checks labels once: _tables keeps the last pair's read-only
+tables beside weakrefs to both objects, which own read-only arrays and label
+tuples, so no result depends on what is kept.
 """
 
 from __future__ import annotations
@@ -55,20 +55,13 @@ from .errors import (
     ZeroDesiredProportion,
 )
 from .model import DesiredDistribution, RankedList, _as_float_array, _freeze, _is_int
-from .quota import floor_table
+from .quota import floor_quotas, prefix_products
 
 SKEW_EPSILON = 1e-6
 
 DEFAULT_DEPTH = 100
 
-_last_counts = (lambda: None, None)  # (weakref to a RankedList, its prefix counts)
-
-
-def _check_alignment(ranked: RankedList, desired: DesiredDistribution) -> None:
-    if tuple(ranked.labels) != tuple(desired.labels):
-        raise SupportMismatch(
-            f"ranked labels {ranked.labels!r} do not match desired labels {desired.labels!r}"
-        )
+_last = (lambda: None, lambda: None, None, None)  # (weakref to a list, to a distribution, tables)
 
 
 def _check_depth(k, n: int) -> int:
@@ -77,23 +70,41 @@ def _check_depth(k, n: int) -> int:
     return int(k)
 
 
+def _cumulative(attrs: np.ndarray, num_attrs: int) -> np.ndarray:
+    """(..., n, num_attrs) int64 prefix counts along the last axis of (..., n) attribute indices."""
+    onehot = np.zeros(attrs.shape + (num_attrs,), dtype=np.int64)
+    onehot.reshape(attrs.size, num_attrs)[np.arange(attrs.size), attrs.ravel()] = 1
+    return onehot.cumsum(axis=-2)
+
+
 def prefix_counts(ranked: RankedList) -> np.ndarray:
     """Read-only (n, num_attrs) cumulative attribute counts; row i covers the top i+1."""
-    global _last_counts
-    ref, cum = _last_counts
-    if ref() is not ranked:
-        n = len(ranked)
-        onehot = np.zeros((n, len(ranked.labels)), dtype=np.int64)
-        onehot[np.arange(n), ranked.attributes] = 1
-        cum = _freeze(onehot.cumsum(axis=0))
-        _last_counts = (weakref.ref(ranked), cum)
-    return cum
+    return _freeze(_cumulative(ranked.attributes, len(ranked.labels)))
+
+
+def _tables(ranked: RankedList, desired: DesiredDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """prefix_counts(ranked) and the read-only floors floor(k * p_a), k = 1..len(ranked).
+
+    Keeps the last pair's tables, so a chain of calls on one pair builds them,
+    and checks that its labels match, once.
+    """
+    global _last
+    list_ref, dist_ref, cum, floors = _last
+    if list_ref() is not ranked or dist_ref() is not desired:
+        if ranked.labels != desired.labels:
+            raise SupportMismatch(
+                f"ranked labels {ranked.labels!r} do not match desired labels {desired.labels!r}"
+            )
+        cum = prefix_counts(ranked)
+        floors = _freeze(floor_quotas(prefix_products(desired.proportions, len(ranked))))
+        _last = (weakref.ref(ranked), weakref.ref(desired), cum, floors)
+    return cum, floors
 
 
 def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
     """Observed attribute proportions in the top k."""
     k = _check_depth(k, len(ranked))
-    return prefix_counts(ranked)[k - 1] / k
+    return np.bincount(ranked.attributes[:k], minlength=len(ranked.labels)) / k
 
 
 def _skews(shares: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
@@ -103,12 +114,12 @@ def _skews(shares: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
 
 def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
     """Skew of every attribute value at depth k (natural log)."""
-    _check_alignment(ranked, desired)
+    cum, _ = _tables(ranked, desired)
     k = _check_depth(k, len(ranked))
     p = desired.proportions
-    if np.any(p <= 0):
+    if p.min() <= 0:
         raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
-    return _skews(proportions_at_k(ranked, k), k, p)
+    return _skews(cum[k - 1] / k, k, p)
 
 
 def skew_at_k(ranked: RankedList, desired: DesiredDistribution, attr, k: int) -> float:
@@ -167,10 +178,10 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     Covers the whole list regardless of any evaluation depth; >= 0, and 0
     exactly when every prefix distribution equals the desired one.
     """
-    _check_alignment(ranked, desired)
+    cum, _ = _tables(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
-    p, cum = desired.proportions, prefix_counts(ranked)
+    p = desired.proportions
     if np.any((cum[-1] > 0) & (p <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
     ks = np.arange(1.0, len(ranked) + 1)
@@ -230,8 +241,8 @@ def ndcg(ranked, ideal_scores) -> float:
 
 def _floor_violations(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """(n, num_attrs) mask of prefix counts below floor(k * p_a); row i is k = i + 1."""
-    _check_alignment(ranked, desired)
-    return prefix_counts(ranked) < floor_table(desired.proportions, len(ranked))
+    cum, floors = _tables(ranked, desired)
+    return cum < floors
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
@@ -327,14 +338,12 @@ def measure(
     list that is itself score-sorted; pass the merged candidate scores to
     measure utility loss against the unconstrained ordering.
     """
-    _check_alignment(ranked, desired)
+    cum, floors = _tables(ranked, desired)
     n = len(ranked)
     if n == 0:
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    floors = floor_table(desired.proportions, n)
-    cum, scores = prefix_counts(ranked)[None], ranked.scores[None]
-    skew, columns = _columns(cum, scores, desired, k, ideal, floors)
+    skew, columns = _columns(cum[None], ranked.scores[None], desired, k, ideal, floors)
     index, count, low, high, div, gain = [column.item(0) for column in columns]
     return MetricsReport(desired.labels, skew[0], low, high, div, gain, index, count, k)

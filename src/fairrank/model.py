@@ -28,7 +28,7 @@ from .errors import (
     UnknownAttribute,
     ValidationError,
 )
-from .quota import ceil_quotas, floor_table, prefix_products
+from .quota import ceil_quotas, floor_quotas, prefix_products
 
 NORMALIZATION_TOL = 1e-9
 
@@ -99,6 +99,9 @@ class DesiredDistribution:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "proportions", p)
 
+    def __reduce__(self):  # pickle and deepcopy rebuild, and so re-freeze, through the constructor
+        return type(self), (self.labels, self.proportions)
+
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> DesiredDistribution:
         return cls(labels=tuple(str(k) for k in mapping), proportions=list(mapping.values()))
@@ -155,14 +158,14 @@ class RankingTask:
     def table(self) -> TaskTable:
         """A validated task's quotas and pools, built on first use and shared by every ranking.
 
-        floors (from quota.floor_table, which measure reads too) and ceils are
-        the read-only int64 tables floor(k * p_a) and ceil(k * p_a), row i for
+        floors and ceils are the read-only int64 tables floor(k * p_a) and
+        ceil(k * p_a), both rounded from one prefix_products table, row i for
         k = i + 1, over k_max + n + 2 rows (DetConstSort's counter bound);
         floor_rows and ceil_rows are the same as lists, and each pool is a
         list of its scores ending in a -inf sentinel.
         """
-        p, n_rows = self.desired.proportions, self.k_max + len(self.desired) + 2
-        floors, ceils = floor_table(p, n_rows), _freeze(ceil_quotas(prefix_products(p, n_rows)))
+        products = prefix_products(self.desired.proportions, self.k_max + len(self.desired) + 2)
+        floors, ceils = _freeze(floor_quotas(products)), _freeze(ceil_quotas(products))
         pools = [s.tolist() + [-np.inf] for s in self.pool.scores]
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
@@ -178,11 +181,12 @@ class RankedList:
 
     Construction rejects attribute and score arrays of different shapes
     (LengthMismatch), attributes that are not a flat array of integers (an
-    empty one may have any dtype) and non-numeric or non-finite scores
-    (ValidationError), and an attribute index outside 0..len(labels) - 1
-    (UnknownAttribute), so the metrics can take any RankedList as
-    well-formed. It stores read-only arrays that it owns (scores as float64),
-    copying a writable array or a view, so no caller can change it later.
+    empty one may have any dtype and is stored as int64) and non-numeric or
+    non-finite scores (ValidationError), and an attribute index outside
+    0..len(labels) - 1 (UnknownAttribute), so the metrics can take any
+    RankedList as well-formed. It stores its labels as a tuple and read-only
+    arrays that it owns (scores as float64), copying a writable array or a
+    view, so no caller can change it later.
     """
 
     labels: tuple[str, ...]
@@ -191,11 +195,13 @@ class RankedList:
     fallback_events: int = 0
 
     def __post_init__(self):
-        attrs = _sealed(self.attributes, np.asarray(self.attributes))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        attrs = np.asarray(self.attributes)
+        attrs = _sealed(self.attributes, attrs if attrs.size else attrs.astype(np.int64))
         scores = _sealed(self.scores, _as_float_array(self.scores, "ranked scores"))
         if attrs.shape != scores.shape:
             raise LengthMismatch(f"{attrs.size} attributes but {scores.size} scores")
-        if attrs.ndim != 1 or (attrs.size and attrs.dtype.kind not in "iu"):
+        if attrs.ndim != 1 or attrs.dtype.kind not in "iu":
             raise ValidationError(f"attributes must be 1-D integers, got {attrs.dtype} {attrs.shape}")
         if attrs.size and (attrs.min() < 0 or attrs.max() >= len(self.labels)):
             raise UnknownAttribute(f"attribute index outside 0..{len(self.labels) - 1}")
@@ -203,6 +209,9 @@ class RankedList:
             raise ValidationError("ranked scores must be finite")
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "scores", scores)
+
+    def __reduce__(self):  # pickle and deepcopy rebuild, and so re-freeze, through the constructor
+        return type(self), (self.labels, self.attributes, self.scores, self.fallback_events)
 
     def __len__(self) -> int:
         return len(self.attributes)

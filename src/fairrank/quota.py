@@ -11,19 +11,11 @@ Quotas round in one place: every (prefix length, attribute) table rounds
 prefix_products through these helpers, both the per-task table the
 re-rankers share (model.RankingTask.table) and the floors the metrics take
 of any list, so the algorithms and the metrics agree on every quota.
-
-floor_table keeps the longest table of the last frozen proportions vector,
-as one (weakref, read-only table) tuple: a dead vector never matches a new
-one, and a thread race costs at most a rebuild.
 """
-
-import weakref
 
 import numpy as np
 
 SNAP_TOL = 1e-12
-
-_last_floors = (lambda: None, None)  # (weakref to a proportions vector, its floor table)
 
 
 def _snap(x):
@@ -45,13 +37,3 @@ def ceil_quotas(x: np.ndarray) -> np.ndarray:
     """Elementwise ceil(x) after snapping near-integer x; returns int64."""
     return np.ceil(_snap(np.asarray(x, dtype=np.float64))).astype(np.int64)
 
-
-def floor_table(p: np.ndarray, n_rows: int) -> np.ndarray:
-    """Read-only floor_quotas(prefix_products(p, n_rows)) of a frozen proportions vector p."""
-    global _last_floors
-    ref, table = _last_floors
-    if ref() is not p or len(table) < n_rows:
-        table = floor_quotas(prefix_products(p, n_rows))
-        table.setflags(write=False)
-        _last_floors = (weakref.ref(p), table)
-    return table[:n_rows]

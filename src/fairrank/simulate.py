@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
-from .metrics import _columns
+from .metrics import _columns, _cumulative
 from .model import (
     DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int, validate_task,
 )
@@ -155,8 +155,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     if not rankings:
         return TaskOutcome({}, failures)
     lists = rankings.values()
-    attrs = np.stack([r.attributes for r in lists])[:, :, None]  # one pass for all m rankings
-    cum = (attrs == np.arange(len(task.desired))).cumsum(axis=1)
+    cum = _cumulative(np.stack([r.attributes for r in lists]), len(task.desired))
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
     scores, floors = np.stack([r.scores for r in lists]), task.table.floors[: task.k_max]
     _, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)

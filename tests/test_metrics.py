@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import sys
 import threading
 import time
@@ -468,7 +470,7 @@ def brute_infeasible_count(seq, p):
 
 
 class TestTableSlots:
-    """The metrics keep the last list's prefix counts and the last distribution's floors."""
+    """The metrics keep the prefix counts and floors of the last (list, distribution) pair."""
 
     def test_tables_are_read_only(self):
         task = make_task({"a": 0.3, "b": 0.7}, {"a": [0.9, 0.5], "b": [0.8, 0.7]}, 3)
@@ -490,7 +492,7 @@ class TestTableSlots:
                 for i in order:
                     assert call(*pairs[i]) == want[i][c]
 
-    def test_task_table_and_measure_share_floors(self):
+    def test_task_table_and_measure_agree_on_floors(self):
         desired = {"a": 0.3, "b": 0.7}
         pools = {"a": [0.9, 0.5, 0.4, 0.3], "b": [0.8, 0.7, 0.1, 0.1]}
         task, fresh = make_task(desired, pools, 5), make_task(desired, pools, 5)
@@ -500,9 +502,45 @@ class TestTableSlots:
         assert task.table.floors.tolist() == [
             [ref_floor(k * p) for p in task.desired.proportions] for k in range(1, 5 + 2 + 3)
         ]
-        # the longest table is kept, so measure read the task's own rows
-        shorter = fr.quota.floor_table(task.desired.proportions, 5)
-        assert np.shares_memory(shorter, task.table.floors)
+
+    def test_a_kept_list_is_checked_against_each_new_distribution(self):
+        ranked = make_ranked("abab", ("a", "b"))
+        fr.measure(ranked, HALF)
+        other = fr.DesiredDistribution.from_mapping({"a": 0.5, "c": 0.5})
+        with pytest.raises(fr.SupportMismatch):
+            fr.skews_at_k(ranked, other, 1)
+
+    def test_zero_proportion_raises_after_the_tables_are_kept(self):
+        ranked = make_ranked("abab", ("a", "b", "c"))
+        desired = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5, "c": 0.0})
+        assert fr.infeasible_prefixes(ranked, desired).tolist() == []
+        for _ in range(2):
+            with pytest.raises(fr.ZeroDesiredProportion):
+                fr.skews_at_k(ranked, desired, 2)
+
+    def test_labels_given_as_a_list_are_kept_as_a_tuple(self):
+        labels = ["a", "b"]
+        ranked = fr.RankedList(labels, np.array([0, 1, 1, 0]), np.array([4.0, 3.0, 2.0, 1.0]))
+        desired = fr.DesiredDistribution.from_mapping({"a": 0.25, "b": 0.75})
+        want = every_metric(*copies(ranked, desired))
+        assert every_metric(ranked, desired) == want
+        labels[0] = "z"
+        assert ranked.labels == ("a", "b")
+        assert every_metric(ranked, desired) == want
+
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_are_rebuilt_read_only(self, clone):
+        ranked, desired = random_case(np.random.default_rng(3), 3, 40)
+        want = fr.infeasible_count(ranked, desired)
+        ranked2, desired2 = clone((ranked, desired))
+        assert isinstance(ranked2.labels, tuple)
+        assert fr.infeasible_count(ranked2, desired2) == want
+        for array in (ranked2.attributes, ranked2.scores, desired2.proportions):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert fr.infeasible_count(ranked2, desired2) == want
 
     def test_new_objects_after_the_last_ones_died(self):
         rng = np.random.default_rng(5)

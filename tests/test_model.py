@@ -483,8 +483,13 @@ class TestRankedList:
             labels=("a",), attributes=np.empty(0, dtype=np.int64), scores=np.empty(0)
         )
         assert len(empty) == 0
-        # an empty list may carry any dtype, e.g. np.asarray([])
-        assert len(fr.RankedList(labels=("a",), attributes=np.asarray([]), scores=[])) == 0
+        # an empty list may carry any dtype, e.g. np.asarray([]), and the metrics take it
+        floats = fr.RankedList(labels=("a",), attributes=np.asarray([]), scores=[])
+        assert len(floats) == 0
+        desired = fr.DesiredDistribution.from_mapping({"a": 1.0})
+        assert fr.infeasible_prefixes(floats, desired).tolist() == []
+        with pytest.raises(fr.ValidationError):
+            fr.measure(floats, desired)
 
     @pytest.mark.parametrize("view", [False, True], ids=["array", "read-only-view"])
     def test_later_writes_by_the_caller_do_not_reach_the_list(self, view):
