@@ -18,12 +18,11 @@ def build_task(proportions, pool_size, k):
         label: np.sort(rng.random(pool_size))[::-1]
         for label in proportions
     }
-    task = fr.RankingTask(
+    return fr.RankingTask(
         desired=fr.DesiredDistribution.from_mapping(proportions),
         pool=fr.ScoredPool.from_mapping(pools),
         k_max=k,
     )
-    return fr.validate_task(task)
 
 
 task = build_task({"a": 0.5, "b": 0.3, "c": 0.2}, pool_size=50, k=12)
@@ -39,13 +38,13 @@ for algorithm in fr.Algorithm:
 # Greedy serves floor quotas first and spends spare slots on raw score, so it
 # can strand a floor that two attributes hit at the same prefix. One candidate
 # per attribute, k=4:
-trap = fr.validate_task(fr.RankingTask(
+trap = fr.RankingTask(
     desired=fr.DesiredDistribution.from_mapping(
         {"a1": 0.4, "a2": 0.4, "a3": 0.1, "a4": 0.1}),
     pool=fr.ScoredPool.from_mapping(
         {"a1": [0.1], "a2": [0.2], "a3": [0.3], "a4": [0.4]}),
     k_max=4,
-))
+)
 greedy = fr.rank(trap, "detgreedy")
 print("\ngreedy on the trap task:", greedy.attribute_labels(),
       "-> infeasible at", fr.infeasible_prefixes(greedy, trap.desired).tolist())

@@ -11,7 +11,6 @@ of them on seeded random task grids.
 from .errors import (
     AllZeroCounts,
     DistributionNotNormalized,
-    EmptyCandidateSets,
     EmptyResult,
     FairRankError,
     InsufficientCandidates,
@@ -74,7 +73,6 @@ __all__ = [
     "AllZeroCounts",
     "DesiredDistribution",
     "DistributionNotNormalized",
-    "EmptyCandidateSets",
     "EmptyResult",
     "FairRankError",
     "InsufficientCandidates",

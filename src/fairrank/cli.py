@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RankingError, ValidationError
 from .metrics import measure
-from .model import DesiredDistribution, RankedList, task_from_dict, validate_task
+from .model import DesiredDistribution, RankedList, task_from_dict
 from .rerank import Algorithm, rank
 from .simulate import SimulationConfig, run_grid, write_csv, write_diagnostics
 
@@ -43,8 +43,7 @@ def _emit(text: str, path) -> None:
 
 
 def cmd_rerank(args) -> int:
-    obj = _load_json(args.input)
-    task = validate_task(task_from_dict(obj))
+    task = task_from_dict(_load_json(args.input))
     ranked = rank(task, args.algorithm, fallback=args.fallback)
     if ranked.fallback_events:
         print(
@@ -62,7 +61,7 @@ def cmd_measure(args) -> int:
     desired_map = _load_json(args.desired)
     if not isinstance(desired_map, Mapping):
         raise ValidationError("desired input must be a JSON object of proportions")
-    # zero-proportion values are dropped here, mirroring task validation; a
+    # zero-proportion values are dropped here, as a RankingTask drops them; a
     # ranked row carrying one then fails with UnknownAttribute
     desired = DesiredDistribution.from_mapping(
         {a: p for a, p in desired_map.items() if p != 0}
@@ -71,7 +70,7 @@ def cmd_measure(args) -> int:
 
     ideal = None
     if args.task:
-        task = validate_task(task_from_dict(_load_json(args.task)))
+        task = task_from_dict(_load_json(args.task))
         ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
     report = measure(ranked, desired, ideal_scores=ideal, k=args.k)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)

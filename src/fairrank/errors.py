@@ -71,10 +71,3 @@ class RankingError(FairRankError):
 class InsufficientCandidates(RankingError):
     """An attribute's pool ran out where the algorithm required it."""
 
-
-class EmptyCandidateSets(RankingError):
-    """A fallback substitution found no attribute with a candidate left.
-
-    Only DetConstSort with fallback=True raises it: one counter step can
-    insert past k_max and ask for more candidates than the pools hold.
-    """

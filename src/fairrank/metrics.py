@@ -260,7 +260,7 @@ def infeasible_count(ranked: RankedList, desired: DesiredDistribution) -> int:
     return int(_floor_violations(ranked, desired).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
     """All measures for one ranked list against one desired distribution.
 

@@ -3,10 +3,10 @@
 A ranking task is (desired distribution over attribute values, one
 score-sorted candidate pool per attribute value, target length k_max).
 Attribute values are identified positionally: index i everywhere refers to
-labels[i] of the task's desired distribution. DesiredDistribution and
-RankedList check themselves at construction, so the metrics can take any
-instance as well-formed; validate_task() then aligns a task's pools with its
-distribution into the frozen form the algorithms assume.
+labels[i] of the task's desired distribution. DesiredDistribution,
+RankingTask and RankedList check themselves at construction (a RankingTask
+also aligns its pools with its distribution), so the re-rankers and the
+metrics can take any instance as well-formed.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _as_float_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be numeric: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesiredDistribution:
     """Target proportions over attribute values, index-aligned with labels.
 
@@ -119,12 +119,12 @@ class DesiredDistribution:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredPool:
     """One candidate score array per attribute value, index-aligned with labels.
 
-    Each array is expected to be sorted in non-increasing order; that is
-    enforced by validate_task, not by the constructor.
+    Each array is expected to be sorted in non-increasing order; a
+    RankingTask built from the pool enforces that, not this constructor.
     """
 
     labels: tuple[str, ...]
@@ -144,19 +144,78 @@ class ScoredPool:
         return sum(len(s) for s in self.scores)
 
 
-# a validated task's quotas and pools in the form the re-rankers read
+# a task's quotas and pools in the form the re-rankers read
 TaskTable = namedtuple("TaskTable", "floors ceils floor_rows ceil_rows pools")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankingTask:
+    """A desired distribution, one candidate pool per attribute value, and k_max.
+
+    Construction checks the task and stores its canonical form: k_max as an
+    int, zero-proportion values dropped with their pools, and the pools in
+    desired label order (a missing one is empty) as read-only views of one
+    copy of all the scores. A k_max that is not a positive integer, unknown
+    or duplicate pool labels, or a pool that is not flat, finite and
+    non-increasing (the first in label order is named) raise a
+    ValidationError subclass; fewer than k_max candidates in all raise
+    InsufficientCandidates.
+    """
+
     desired: DesiredDistribution
     pool: ScoredPool
     k_max: int
 
+    def __post_init__(self):
+        if not _is_int(self.k_max) or self.k_max < 1:
+            raise ValidationError(f"k_max must be a positive integer, got {self.k_max!r}")
+
+        if len(set(self.pool.labels)) != len(self.pool.labels):
+            raise ValidationError("duplicate attribute labels in pool")
+        known = set(self.desired.labels)
+        for a in self.pool.labels:
+            if a not in known:
+                raise UnknownAttribute(f"pool attribute {a!r} is not in the desired distribution")
+        by_label = dict(zip(self.pool.labels, self.pool.scores))
+
+        labels: list[str] = []
+        props: list[float] = []
+        given: list[np.ndarray] = []
+        for a, p in zip(self.desired.labels, self.desired.proportions):
+            if p != 0:
+                labels.append(a)
+                props.append(float(p))
+                given.append(_as_float_array(by_label.get(a, ()), f"pool scores for {a!r}"))
+        # all pools are checked in one pass over one copy of their scores; each is a slice flat[i:j]
+        flat = _freeze(np.concatenate([s.ravel() for s in given]))
+        spans = list(pairwise(accumulate((s.size for s in given), initial=0)))
+        # a rise from flat[j - 1] to flat[j] only crosses from one pool to the next
+        rises = set(np.flatnonzero(flat[1:] > flat[:-1]).tolist()) - {j - 1 for _, j in spans}
+        if rises or not np.isfinite(flat).all() or not all(s.ndim == 1 for s in given):
+            # report the first offending pool in label order, as a per-pool check would
+            for a, s, (i, j) in zip(labels, given, spans):
+                if s.ndim != 1:
+                    raise ValidationError(f"pool for {a!r} must be a flat list of scores")
+                if not np.isfinite(flat[i:j]).all():
+                    raise ValidationError(f"pool for {a!r} contains non-finite scores")
+                if any(i <= t < j for t in rises):
+                    raise PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
+        if flat.size < self.k_max:
+            raise InsufficientCandidates(f"pools hold {flat.size} candidates, k_max is {self.k_max}")
+
+        # the task's own distribution is already checked unless a label was dropped
+        if len(labels) < len(self.desired):
+            object.__setattr__(self, "desired", DesiredDistribution(tuple(labels), props))
+        pool = ScoredPool(labels=tuple(labels), scores=tuple(flat[i:j] for i, j in spans))
+        object.__setattr__(self, "pool", pool)
+        object.__setattr__(self, "k_max", int(self.k_max))
+
+    def __reduce__(self):  # pickle and deepcopy rebuild, and so re-freeze, through the constructor
+        return type(self), (self.desired, self.pool, self.k_max)
+
     @cached_property
     def table(self) -> TaskTable:
-        """A validated task's quotas and pools, built on first use and shared by every ranking.
+        """The task's quotas and pools, built on first use and shared by every ranking.
 
         floors and ceils are the read-only int64 tables floor(k * p_a) and
         ceil(k * p_a), both rounded from one prefix_products table, row i for
@@ -170,7 +229,7 @@ class RankingTask:
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedList:
     """A ranking: parallel arrays of attribute indices and scores.
 
@@ -280,70 +339,13 @@ def empirical_distribution(counts: Mapping[str, float]) -> DesiredDistribution:
     return DesiredDistribution(labels=labels, proportions=values / total)
 
 
-def validate_task(task: RankingTask, allow_unsorted: bool = False) -> RankingTask:
-    """Validate a task and return its canonical form.
-
-    The returned task has: zero-proportion attribute values dropped (along
-    with their pools), pools aligned to the desired label order (attributes
-    missing from the pool mapping get empty pools), scores checked finite and
-    non-increasing, and all arrays frozen: the pools are read-only views of
-    one copy of all the scores. With allow_unsorted=True, unsorted pools are
-    re-sorted descending instead of raising PoolNotSorted.
-
-    Raises InsufficientCandidates when the surviving pools hold fewer than
-    k_max candidates in total.
-    """
-    if not _is_int(task.k_max) or task.k_max < 1:
-        raise ValidationError(f"k_max must be a positive integer, got {task.k_max!r}")
-
-    if len(set(task.pool.labels)) != len(task.pool.labels):
-        raise ValidationError("duplicate attribute labels in pool")
-    known = set(task.desired.labels)
-    for a in task.pool.labels:
-        if a not in known:
-            raise UnknownAttribute(f"pool attribute {a!r} is not in the desired distribution")
-    by_label = dict(zip(task.pool.labels, task.pool.scores))
-
-    labels: list[str] = []
-    props: list[float] = []
-    given: list[np.ndarray] = []
-    for a, p in zip(task.desired.labels, task.desired.proportions):
-        if p != 0:
-            labels.append(a)
-            props.append(float(p))
-            given.append(_as_float_array(by_label.get(a, ()), f"pool scores for {a!r}"))
-    # all pools are checked in one pass over one copy of their scores; each is a slice flat[i:j]
-    flat = np.concatenate([s.ravel() for s in given])
-    spans = list(pairwise(accumulate((s.size for s in given), initial=0)))
-    # a rise from flat[j - 1] to flat[j] only crosses from one pool to the next
-    rises = set(np.flatnonzero(flat[1:] > flat[:-1]).tolist()) - {j - 1 for _, j in spans}
-    if rises or not np.isfinite(flat).all() or not all(s.ndim == 1 for s in given):
-        # report the first offending pool in label order, as a per-pool check would
-        for a, s, (i, j) in zip(labels, given, spans):
-            if s.ndim != 1:
-                raise ValidationError(f"pool for {a!r} must be a flat list of scores")
-            if not np.isfinite(flat[i:j]).all():
-                raise ValidationError(f"pool for {a!r} contains non-finite scores")
-            if any(i <= t < j for t in rises):
-                if not allow_unsorted:
-                    raise PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
-                flat[i:j] = np.sort(flat[i:j])[::-1]
-    _freeze(flat)
-
-    # the task's own distribution is already checked unless a label was dropped
-    desired = task.desired
-    if len(labels) < len(desired):
-        desired = DesiredDistribution(labels=tuple(labels), proportions=props)
-    pool = ScoredPool(labels=tuple(labels), scores=tuple(flat[i:j] for i, j in spans))
-    if pool.total() < task.k_max:
-        raise InsufficientCandidates(
-            f"pools hold {pool.total()} candidates, k_max is {task.k_max}"
-        )
-    return RankingTask(desired=desired, pool=pool, k_max=int(task.k_max))
+def validate_task(task: RankingTask) -> RankingTask:
+    """Return task: a RankingTask checks itself when built; kept for callers of the old API."""
+    return task
 
 
 def task_from_dict(obj) -> RankingTask:
-    """Build a task, with its pools not yet validated, from parsed JSON.
+    """Build a task from parsed JSON; the RankingTask constructor checks it.
 
     Expected shape: {"k": int, "desired": {label: proportion},
     "pools": {label: [score, ...]}}.

@@ -1,9 +1,9 @@
 """Score-ordered merging and deterministic representation-constrained re-ranking.
 
-All algorithms consume a validated RankingTask (see model.validate_task) and
-emit a RankedList of exactly k_max candidates. Pools are consumed strictly
-in order, so every algorithm preserves score order within each attribute
-value.
+All algorithms consume a RankingTask, checked and made canonical when it
+is built, and emit a RankedList of exactly k_max candidates. Pools are
+consumed strictly in order, so every algorithm preserves score order within
+each attribute value.
 
 vanilla merges the pools by descending score and ignores the desired
 distribution (the utility-maximizing baseline).
@@ -26,6 +26,8 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
   whose floor quota rises append their next candidates, best next score
   first, each with movement bound k and swapped toward the front while the
   left neighbor scores lower and may still sit one position further down.
+  Unlike the paper's loop, it stops once every candidate is placed, instead
+  of asking an exhausted pool for more in its last counter step.
 
 Every selection goes through one kernel, _pick(counts, floor, limit, nxt,
 key): over the attributes with counts[a] < limit[a] it takes the lowest key,
@@ -57,7 +59,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyCandidateSets, InsufficientCandidates, UnknownAlgorithm
+from .errors import InsufficientCandidates, UnknownAlgorithm
 from .model import RankedList, RankingTask, _freeze
 from .quota import SNAP_TOL, ceil_quotas
 
@@ -136,11 +138,14 @@ def _fallback_pick(counts, pools, ce, nxt, key) -> int:
     """_pick among below-ceiling attributes with candidates left, else any with some left."""
     lens = [len(s) - 1 for s in pools]  # without the -inf sentinel
     no_floor = [0] * len(pools)
-    for limit in ([min(c, n) for c, n in zip(ce, lens)], lens):
-        pick = _pick(counts, no_floor, limit, nxt, key)
-        if pick >= 0:
-            return pick
-    raise EmptyCandidateSets("no attribute has remaining candidates")
+    pick = _pick(counts, no_floor, [min(c, n) for c, n in zip(ce, lens)], nxt, key)
+    if pick < 0:
+        pick = _pick(counts, no_floor, lens, nxt, key)
+    # the callers have placed fewer candidates than the pools hold (the greedy
+    # family fewer than k_max <= total, detconstsort stops at total), so some
+    # a has counts[a] < lens[a], and the second, unfloored _pick returns one
+    assert pick >= 0
+    return pick
 
 
 def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool) -> RankedList:
@@ -200,7 +205,7 @@ def _rank_det_const_sort(task: RankingTask, fallback: bool) -> RankedList:
     """
     _, _, floors, ceils, pools = task.table
     nxt = [s[0] for s in pools]
-    k_max = task.k_max
+    k_max, total = task.k_max, task.pool.total()
     n_attrs = len(pools)
 
     counts = [0] * n_attrs
@@ -216,6 +221,8 @@ def _rank_det_const_sort(task: RankingTask, fallback: bool) -> RankedList:
         for a in sorted((a for a in range(n_attrs) if fl[a] > last_floor[a]),
                         key=nxt.__getitem__, reverse=True):
             if nxt[a] == _NEG_INF:
+                if len(ranked) == total:  # every candidate is placed, and total >= k_max
+                    break
                 if not fallback:
                     label = task.desired.labels[a]
                     raise InsufficientCandidates(
@@ -238,7 +245,7 @@ def _rank_det_const_sort(task: RankingTask, fallback: bool) -> RankedList:
 
 
 def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
-    """Rank a validated task with the named algorithm."""
+    """Rank a task with the named algorithm."""
     algo = coerce_algorithm(algorithm)
     if algo is Algorithm.VANILLA:
         return _rank_vanilla(task)

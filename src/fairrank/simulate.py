@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
 from .metrics import _columns, _cumulative
-from .model import (
-    DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int, validate_task,
-)
+from .model import DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int
 from .rerank import _CANONICAL_ORDER, Algorithm, coerce_algorithm, rank
 
 CSV_HEADER = (
@@ -134,7 +132,7 @@ class TaskOutcome(NamedTuple):
 
 
 def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutcome:
-    """Rank one validated task with each algorithm, then measure the rankings together.
+    """Rank one task with each algorithm, then measure the rankings together.
 
     The successful rankings go through the metrics core as one batch, at
     depth k_max against the merged pools' descending score order `ideal`, so
@@ -169,7 +167,7 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
         desired = gen_desired(num_attr, _rng(config.seed, num_attr, d))
         for r in range(config.replications):
             pool = gen_pool(num_attr, config.pool_size, _rng(config.seed, num_attr, d, r))
-            task = validate_task(RankingTask(desired=desired, pool=pool, k_max=config.k_max))
+            task = RankingTask(desired=desired, pool=pool, k_max=config.k_max)
             for algo, row in run_task(task, config.algorithms).rows.items():
                 rows[algo].append(row)
     return {

@@ -13,14 +13,13 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
-def make_task(desired, pools, k, allow_unsorted=False):
-    """Validated task from plain dicts."""
-    task = fr.RankingTask(
+def make_task(desired, pools, k):
+    """Task from plain dicts."""
+    return fr.RankingTask(
         desired=fr.DesiredDistribution.from_mapping(desired),
         pool=fr.ScoredPool.from_mapping(pools),
         k_max=k,
     )
-    return fr.validate_task(task, allow_unsorted=allow_unsorted)
 
 
 def make_ranked(sequence, labels, scores=None):
@@ -36,13 +35,11 @@ def make_ranked(sequence, labels, scores=None):
 
 
 def random_task(rng, num_attr, pool_size=100, k=100):
-    """Validated random task drawn with the simulation generators."""
-    return fr.validate_task(
-        fr.RankingTask(
-            desired=fr.gen_desired(num_attr, rng),
-            pool=fr.gen_pool(num_attr, pool_size, rng),
-            k_max=k,
-        )
+    """Random task drawn with the simulation generators."""
+    return fr.RankingTask(
+        desired=fr.gen_desired(num_attr, rng),
+        pool=fr.gen_pool(num_attr, pool_size, rng),
+        k_max=k,
     )
 
 

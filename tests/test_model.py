@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -98,11 +100,11 @@ class TestDesiredDistribution:
         assert not d.proportions.flags.writeable
 
 
-def reference_validate(task, allow_unsorted=False):
-    """validate_task's pool checks written one pool at a time, as a reference."""
-    by_label = dict(zip(task.pool.labels, task.pool.scores))
+def reference_task(desired, pool, k_max):
+    """The RankingTask constructor's pool checks written one pool at a time, as a reference."""
+    by_label = dict(zip(pool.labels, pool.scores))
     labels, props, pools = [], [], []
-    for a, p in zip(task.desired.labels, task.desired.proportions):
+    for a, p in zip(desired.labels, desired.proportions):
         if p == 0:
             continue
         scores = np.asarray(by_label.get(a, ()), dtype=np.float64)
@@ -111,23 +113,21 @@ def reference_validate(task, allow_unsorted=False):
         if not np.all(np.isfinite(scores)):
             raise fr.ValidationError(f"pool for {a!r} contains non-finite scores")
         if scores.size > 1 and np.any(np.diff(scores) > 0):
-            if not allow_unsorted:
-                raise fr.PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
-            scores = np.sort(scores)[::-1]
+            raise fr.PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
         labels.append(a)
         props.append(float(p))
         pools.append(scores.tolist())
-    if sum(map(len, pools)) < task.k_max:
+    if sum(map(len, pools)) < k_max:
         raise fr.InsufficientCandidates(
-            f"pools hold {sum(map(len, pools))} candidates, k_max is {task.k_max}"
+            f"pools hold {sum(map(len, pools))} candidates, k_max is {k_max}"
         )
     return tuple(labels), props, pools
 
 
-def outcome(validate, task, allow_unsorted):
-    """(error class, message), or the validated labels, proportions and pool scores."""
+def outcome(build, parts):
+    """(error class, message), or the built task's labels, proportions and pool scores."""
     try:
-        result = validate(task, allow_unsorted=allow_unsorted)
+        result = build(*parts)
     except fr.FairRankError as exc:
         return type(exc), str(exc)
     if isinstance(result, fr.RankingTask):
@@ -146,7 +146,8 @@ BAD_SCORES = st.sampled_from([float("nan"), float("inf"), -float("inf")])
 
 @st.composite
 def pool_tasks(draw):
-    """Tasks with missing, empty, unsorted, non-finite or nested pools and zero-proportion labels."""
+    """(desired, pool, k_max) with missing, empty, unsorted, non-finite or nested pools and
+    zero-proportion labels."""
     n = draw(st.integers(1, 5))
     labels = [f"a{i}" for i in range(n)]
     weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
@@ -163,12 +164,10 @@ def pool_tasks(draw):
         if kind == "bad":
             scores.insert(draw(st.integers(0, len(scores))), draw(BAD_SCORES))
         pools[a] = [[x] for x in scores] if kind == "nested" else scores
-    return fr.RankingTask(
-        desired=fr.DesiredDistribution.from_mapping(
-            {a: w / sum(weights) for a, w in zip(labels, weights)}
-        ),
-        pool=fr.ScoredPool.from_mapping(pools),
-        k_max=draw(st.integers(1, 8)),
+    return (
+        fr.DesiredDistribution.from_mapping({a: w / sum(weights) for a, w in zip(labels, weights)}),
+        fr.ScoredPool.from_mapping(pools),
+        draw(st.integers(1, 8)),
     )
 
 
@@ -194,10 +193,6 @@ class TestValidateTask:
         with pytest.raises(fr.PoolNotSorted):
             make_task({"a": 1.0}, {"a": [0.1, 0.9]}, 2)
 
-    def test_unsorted_pool_resorted_on_request(self):
-        task = make_task({"a": 1.0}, {"a": [0.1, 0.9]}, 2, allow_unsorted=True)
-        assert task.pool.scores[0].tolist() == [0.9, 0.1]
-
     def test_zero_proportion_attribute_dropped_with_pool(self):
         task = make_task(
             {"a": 0.5, "gone": 0.0, "b": 0.5},
@@ -210,10 +205,10 @@ class TestValidateTask:
     def test_checked_distribution_reused_unless_a_label_is_dropped(self):
         pools = fr.ScoredPool.from_mapping({"a": [0.9], "b": [0.7]})
         kept = fr.DesiredDistribution.from_mapping({"a": 0.25, "b": 0.75})
-        task = fr.validate_task(fr.RankingTask(desired=kept, pool=pools, k_max=2))
+        task = fr.RankingTask(desired=kept, pool=pools, k_max=2)
         assert task.desired is kept
         dropping = fr.DesiredDistribution.from_mapping({"a": 0.25, "gone": 0.0, "b": 0.75})
-        task = fr.validate_task(fr.RankingTask(desired=dropping, pool=pools, k_max=2))
+        task = fr.RankingTask(desired=dropping, pool=pools, k_max=2)
         assert task.desired is not dropping
         assert task.desired.as_mapping() == {"a": 0.25, "b": 0.75}
 
@@ -236,25 +231,22 @@ class TestValidateTask:
         # a nested pool must fail here, not later in every ranker with a raw
         # TypeError or ValueError
         with pytest.raises(fr.ValidationError, match="flat"):
-            fr.validate_task(
-                fr.RankingTask(
-                    desired=fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5}),
-                    pool=fr.ScoredPool(labels=("a", "b"), scores=(pool, np.array([0.7, 0.1]))),
-                    k_max=2,
-                )
+            fr.RankingTask(
+                desired=fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5}),
+                pool=fr.ScoredPool(labels=("a", "b"), scores=(pool, np.array([0.7, 0.1]))),
+                k_max=2,
             )
 
     @pytest.mark.parametrize("scores, match", [(["x"], "numeric"), ([None], "non-finite")])
     def test_non_numeric_scores_of_a_direct_pool_rejected(self, scores, match):
         # a ScoredPool built directly skips from_mapping's conversion; "x" used
-        # to escape validate_task as a bare ValueError from np.asarray
-        task = fr.RankingTask(
-            desired=fr.DesiredDistribution.from_mapping({"a": 1.0}),
-            pool=fr.ScoredPool(labels=("a",), scores=(scores,)),
-            k_max=1,
-        )
+        # to escape task validation as a bare ValueError from np.asarray
         with pytest.raises(fr.ValidationError, match=match) as info:
-            fr.validate_task(task)
+            fr.RankingTask(
+                desired=fr.DesiredDistribution.from_mapping({"a": 1.0}),
+                pool=fr.ScoredPool(labels=("a",), scores=(scores,)),
+                k_max=1,
+            )
         assert "'a'" in str(info.value)
 
     def test_bad_k_rejected(self):
@@ -279,21 +271,13 @@ class TestValidateTask:
         with pytest.raises(ValueError):
             task.desired.proportions[0] = 0.5
 
-    @pytest.mark.parametrize("b", [[0.7, 0.1], [0.1, 0.7]])
+    @pytest.mark.parametrize("b", [[0.7, 0.1]])
     def test_pools_are_views_of_one_read_only_array(self, b):
-        task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9], "b": b}, 3, allow_unsorted=True)
+        task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9], "b": b}, 3)
         base = task.pool.scores[0].base
         assert all(s.base is base for s in task.pool.scores)
         assert not base.flags.writeable
         assert base.tolist() == [0.9, 0.7, 0.1]
-
-    def test_caller_arrays_not_sorted_in_place(self):
-        unsorted = np.array([0.1, 0.7])
-        pool = fr.ScoredPool(labels=("a", "b"), scores=(np.array([0.9]), unsorted))
-        desired = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5})
-        task = fr.RankingTask(desired=desired, pool=pool, k_max=3)
-        assert fr.validate_task(task, allow_unsorted=True).pool.scores[1].tolist() == [0.7, 0.1]
-        assert unsorted.tolist() == [0.1, 0.7]
 
     @pytest.mark.parametrize(
         "pools",
@@ -322,18 +306,72 @@ class TestValidateTask:
         order = faults[first:] + faults[:first]
         pools = (np.array(order[0]), np.array(order[1]), np.array(order[2]))
         desired = fr.DesiredDistribution.from_mapping({"a": 0.25, "b": 0.25, "c": 0.5})
-        task = fr.RankingTask(desired=desired, pool=fr.ScoredPool(("a", "b", "c"), pools), k_max=1)
-        assert outcome(fr.validate_task, task, False) == outcome(reference_validate, task, False)
-        assert outcome(fr.validate_task, task, False)[1].startswith("pool for 'a'")
+        parts = (desired, fr.ScoredPool(("a", "b", "c"), pools), 1)
+        assert outcome(fr.RankingTask, parts) == outcome(reference_task, parts)
+        assert outcome(fr.RankingTask, parts)[1].startswith("pool for 'a'")
 
     @settings(max_examples=400, deadline=None)
-    @given(pool_tasks(), st.booleans())
-    def test_one_pass_matches_per_pool_reference(self, task, allow_unsorted):
+    @given(pool_tasks())
+    def test_one_pass_matches_per_pool_reference(self, parts):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = outcome(fr.validate_task, task, allow_unsorted)
+            got = outcome(fr.RankingTask, parts)
         with np.errstate(over="ignore"):  # the reference's np.diff overflows on -1e308 - 1e308
-            assert got == outcome(reference_validate, task, allow_unsorted)
+            assert got == outcome(reference_task, parts)
+
+
+def half_and_half(pools):
+    return fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5}), fr.ScoredPool.from_mapping(pools)
+
+
+class TestRankingTask:
+    # the next three tasks used to reach `rank` unchecked when the
+    # constructor was called without the separate validation step
+    def test_pools_given_out_of_label_order_are_aligned(self):
+        task = fr.RankingTask(*half_and_half({"b": [0.9, 0.1], "a": [0.8, 0.7]}), 2)
+        assert task.pool.labels == ("a", "b")
+        for algo in fr.Algorithm:
+            ranked = fr.rank(task, algo)
+            assert ranked.attribute_labels() == ["b", "a"]
+            assert ranked.scores.tolist() == [0.9, 0.8]
+
+    def test_unsorted_pool_rejected_when_built(self):
+        with pytest.raises(fr.PoolNotSorted, match="'a'"):
+            fr.RankingTask(*half_and_half({"a": [0.1, 0.9], "b": [0.8]}), 2)
+
+    def test_pools_shorter_than_k_rejected_when_built(self):
+        with pytest.raises(fr.InsufficientCandidates, match="hold 2 candidates, k_max is 3"):
+            fr.RankingTask(*half_and_half({"a": [0.9], "b": [0.8]}), 3)
+
+    def test_validate_task_returns_the_task(self):
+        task = make_task({"a": 1.0}, {"a": [0.9]}, 1)
+        assert fr.validate_task(task) is task
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_are_rebuilt_read_only(self, copy_of):
+        # a copied pool used to be writable, and a later write surfaced in
+        # `rank` as "ranked scores must be finite"
+        task = make_task({"a": 0.5, "gone": 0.0, "b": 0.5}, {"a": [0.9, 0.8], "b": [0.7]}, 3)
+        task.table
+        copied = copy_of(task)
+        assert "table" not in vars(copied)  # a kept table is not carried over
+        assert not any(s.flags.writeable for s in copied.pool.scores)
+        assert copied.desired.labels == copied.pool.labels == ("a", "b")
+        for algo in fr.Algorithm:
+            ranked, again = fr.rank(task, algo), fr.rank(copied, algo)
+            assert ranked.attributes.tolist() == again.attributes.tolist()
+            assert ranked.scores.tolist() == again.scores.tolist()
+
+    def test_array_holding_types_compare_by_identity(self):
+        # `==` used to compare the arrays and raise ValueError, and `hash` raised TypeError
+        task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9, 0.8], "b": [0.7, 0.6]}, 3)
+        ranked = fr.rank(task, "detcons")
+        for obj in (task.desired, task.pool, task, ranked, fr.measure(ranked, task.desired)):
+            copied = pickle.loads(pickle.dumps(obj))
+            assert obj == obj and (obj == copied) is False
+            assert hash(obj) == hash(obj) and {obj: 1}[obj] == 1
 
 
 class TestTaskFromDict:

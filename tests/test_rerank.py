@@ -44,10 +44,12 @@ def ref_det_const_sort(task):
     (ties by index); each new candidate swaps with its left neighbor while
     the neighbor scores lower and may sit one position (1-based) further
     down. A rising attribute with no candidate left raises, naming the
-    lowest such index.
+    lowest such index, unless the step's other candidates place the last
+    candidate of every pool.
     """
     p = task.desired.proportions.tolist()
     pools = [s.tolist() for s in task.pool.scores]
+    total = sum(map(len, pools))
     counts, min_counts = [0] * len(p), [0] * len(p)
     attrs, scores, bounds = [], [], []
     k = 0
@@ -55,13 +57,14 @@ def ref_det_const_sort(task):
         k += 1
         floors = [ref_floor(k * q) for q in p]
         changed = [a for a in range(len(p)) if floors[a] > min_counts[a]]
+        rising = [a for a in changed if counts[a] < len(pools[a])]
         for a in changed:
-            if counts[a] == len(pools[a]):
+            if a not in rising and len(attrs) + len(rising) < total:
                 label = task.desired.labels[a]
                 raise fr.InsufficientCandidates(
                     f"detconstsort: pool for {label!r} exhausted at counter {k}"
                 )
-        for a in sorted(changed, key=lambda a: (-pools[a][counts[a]], a)):
+        for a in sorted(rising, key=lambda a: (-pools[a][counts[a]], a)):
             attrs.append(a)
             scores.append(pools[a][counts[a]])
             bounds.append(k)
@@ -267,6 +270,22 @@ class TestDetConstSort:
         error = assert_det_const_sort_matches_reference(four_group_task())
         assert error == "detconstsort: pool for 'a1' exhausted at counter 5"
 
+    def test_fallback_stops_once_every_candidate_is_placed(self):
+        # pools of 7/1/2 hold exactly k = 10; once b runs dry, the last counter
+        # step asks one more candidate of a pool after all ten are placed, and
+        # its fallback used to find every pool empty
+        task = make_task(
+            {"a": 4227 / 10001, "b": 2585 / 10001, "c": 3189 / 10001},
+            {"a": [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3], "b": [0.85], "c": [0.75, 0.65]},
+            10,
+        )
+        error = assert_det_const_sort_matches_reference(task)
+        assert error == "detconstsort: pool for 'b' exhausted at counter 8"
+        ranked = fr.rank(task, "detconstsort", fallback=True)
+        assert ranked.fallback_events > 0
+        for a, pool in enumerate(task.pool.scores):
+            assert ranked.scores[ranked.attributes == a].tolist() == pool.tolist()
+
     def test_random_tasks_match_reference(self):
         for trial in range(90):
             task = random_task(spawn_rng(23, trial), num_attr=2 + trial % 9)
@@ -412,19 +431,17 @@ class TestKernelProperties:
                 for a, pool in enumerate(task.pool.scores):
                     emitted = ranked.scores[ranked.attributes == a].tolist()
                     assert emitted == pool[: len(emitted)].tolist()
+            # with fallback every algorithm fills the list: the greedy family has
+            # an attribute below its ceiling at every position, detconstsort stops
+            # once every candidate is placed, and the pools hold k_max
+            assert isinstance(relaxed, fr.RankedList)
             # fallback steps in exactly where the rule demands an exhausted pool
             if isinstance(strict, fr.RankedList):
                 assert strict.fallback_events == relaxed.fallback_events == 0
                 assert strict.attributes.tolist() == relaxed.attributes.tolist()
             else:
                 assert algo != "vanilla" and isinstance(strict, fr.InsufficientCandidates)
-                # detconstsort can still run out with fallback on
-                if not (algo == "detconstsort" and isinstance(relaxed, fr.EmptyCandidateSets)):
-                    assert relaxed.fallback_events > 0
-            # with fallback the greedy family always fills the list: some attribute
-            # is below its ceiling at every position, and the pools hold k_max
-            if algo in GREEDY_FAMILY:
-                assert isinstance(relaxed, fr.RankedList)
+                assert relaxed.fallback_events > 0
 
     @settings(max_examples=300, deadline=None)
     @given(small_tasks())
@@ -508,7 +525,7 @@ def test_rank_digest_on_tight_pools_is_pinned():
     # pins every ranking, fallback count and error on tight pools; a change
     # that alters outputs on purpose updates the hex and says why
     assert rank_digest(tight_pool_tasks()) == (
-        "99c534f61c9d91ba3a31a8d84a2a8256f2e8e124a829f10631fd20e33eefc2b5"
+        "4b0f4b7da1b4f820ef8bdd79a3bac57088b1727023756188dc183e4ee158f3bc"
     )
 
 

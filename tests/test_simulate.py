@@ -41,12 +41,10 @@ class TestGenerators:
 
 class TestRunTask:
     def task(self, num_attr=3, seed=5):
-        return fr.validate_task(
-            fr.RankingTask(
-                desired=fr.gen_desired(num_attr, spawn_rng(seed, num_attr, 0)),
-                pool=fr.gen_pool(num_attr, 50, spawn_rng(seed, num_attr, 0, 0)),
-                k_max=50,
-            )
+        return fr.RankingTask(
+            desired=fr.gen_desired(num_attr, spawn_rng(seed, num_attr, 0)),
+            pool=fr.gen_pool(num_attr, 50, spawn_rng(seed, num_attr, 0, 0)),
+            k_max=50,
         )
 
     @staticmethod
