@@ -61,10 +61,23 @@ def _as_list(values, what: str) -> list:
 
 
 def _as_float_array(values, what: str) -> np.ndarray:
+    """values as a float64 array; ValidationError unless numpy reads them as real numbers.
+
+    Bools, strings, bytes, complex numbers and objects such as None are
+    rejected, not cast: numpy would read True as 1.0 and "0.5" as 0.5. Only
+    the dtype numpy infers for the whole array is tested, so a list that
+    mixes numbers with a bool, such as [0.9, True], still reads as floats.
+    Integers beyond 64 bits come out as objects and are converted one by one.
+    """
     try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat):
+            arr = arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be numeric: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numeric, got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +320,10 @@ class RankedList:
         scores = np.empty(len(rows), dtype=np.float64)
         for i, row in enumerate(rows):
             try:
-                label = row["attribute"]
-                scores[i] = float(row["score"])
+                label, score = row["attribute"], row["score"]
+                if isinstance(score, (str, bytes, bool, np.bool_)):
+                    raise TypeError(f"score must be a number, got {score!r}")
+                scores[i] = float(score)
             except (TypeError, KeyError, ValueError) as exc:
                 raise ValidationError(f"ranked row {i}: {exc!r}") from None
             try:

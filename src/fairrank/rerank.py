@@ -1,7 +1,7 @@
 """Score-ordered merging and deterministic representation-constrained re-ranking.
 
 All algorithms consume a RankingTask, checked and made canonical when it
-is built, and emit a RankedList of exactly k_max candidates. Pools are
+is built, and rank emits a RankedList of exactly k_max candidates. Pools are
 consumed strictly in order, so every algorithm preserves score order within
 each attribute value.
 
@@ -27,7 +27,11 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
   first, each with movement bound k and swapped toward the front while the
   left neighbor scores lower and may still sit one position further down.
   Unlike the paper's loop, it stops once every candidate is placed, instead
-  of asking an exhausted pool for more in its last counter step.
+  of asking an exhausted pool for more in its last counter step. It walks
+  the task's floor-rise events, the (k, attribute) pairs where a floor
+  rises, taken from the floor table in one pass, so it never scans the
+  attributes whose floor stays put, and sorts a counter's attributes only
+  when more than one rises.
 
 Every selection goes through one kernel, _pick(counts, floor, limit, nxt,
 key): over the attributes with counts[a] < limit[a] it takes the lowest key,
@@ -40,6 +44,11 @@ levels); an attribute below its floor is below its ceiling too, so floors
 are served first, by next score. Rows and pools come from the task's table,
 built once per task and shared by all rankings of it; only the key rows are
 built per call, with numpy.
+
+Each algorithm's kernel returns its raw (attributes, scores,
+fallback_events) columns through one private dispatcher, _rank_columns.
+rank wraps them in a checked RankedList; simulate.run_task measures them
+directly, with no RankedList built.
 
 Every tie anywhere resolves by ascending attribute index (the order labels
 appear in the desired distribution), which makes all algorithms fully
@@ -148,7 +157,7 @@ def _fallback_pick(counts, pools, ce, nxt, key) -> int:
     return pick
 
 
-def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool) -> RankedList:
+def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool):
     """Serve attributes below their floor by next score; otherwise _pick by key."""
     _, _, floors, ceils, pools = task.table
     nxt = [s[0] for s in pools]
@@ -173,7 +182,7 @@ def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool)
         out_scores.append(nxt[pick])
         counts[pick] += 1
         nxt[pick] = pools[pick][counts[pick]]
-    return _ranked(task, out_attrs, out_scores, events)
+    return out_attrs, out_scores, events
 
 
 def _ranked(task: RankingTask, attrs, scores, events: int = 0) -> RankedList:
@@ -185,70 +194,88 @@ def _ranked(task: RankingTask, attrs, scores, events: int = 0) -> RankedList:
     )
 
 
-def _rank_vanilla(task: RankingTask) -> RankedList:
+def _rank_vanilla(task: RankingTask):
     """Merge all pools by descending score; ties by attribute index, then pool order."""
     lengths = [len(s) for s in task.pool.scores]
     scores = np.concatenate(task.pool.scores)
     attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     order = np.argsort(-scores, kind="stable")[: task.k_max]
-    return _ranked(task, attrs[order], scores[order])
+    return attrs[order], scores[order], 0
 
 
-def _rank_det_const_sort(task: RankingTask, fallback: bool) -> RankedList:
+def _rank_det_const_sort(task: RankingTask, fallback: bool):
     """Insert candidates as floor quotas increment; sort back within movement bounds.
 
     A virtual prefix counter k advances from 1. At each k, the attributes
     whose floor(k * p_a) rises append their next candidates in descending
     next-score order, each with movement bound k (1-based: it may never sit
     below position k), and bubble each toward the front while the left
-    neighbor both scores lower and may shift one position down.
+    neighbor both scores lower and may shift one position down. Only the
+    counters at which some floor rises are visited.
     """
-    _, _, floors, ceils, pools = task.table
+    table = task.table
+    ceils, pools = table.ceil_rows, table.pools
     nxt = [s[0] for s in pools]
     k_max, total = task.k_max, task.pool.total()
-    n_attrs = len(pools)
+    # the (counter row, attribute) pairs where a floor rises, by row, then by
+    # ascending index; floor(k * p_a) rises by at most 1 per step, as p_a <= 1.
+    # These are np.diff(floors, axis=0, prepend=0), taken in place: np.diff's
+    # prepend copies through a concatenate that costs more than a k = 10 walk
+    rises = table.floors.copy()
+    rises[1:] -= table.floors[:-1]
+    rows, risers = (x.tolist() for x in rises.nonzero())
+    n_rises = len(rows)
 
-    counts = [0] * n_attrs
-    last_floor = [0] * n_attrs
+    counts = [0] * len(pools)
     ranked: list[tuple[float, int, int]] = []  # (score, movement bound, attribute)
     events = 0
+    row = -1
     # floor quotas strictly exceed k - n_attrs, so the counter never needs
     # to run past k_max + n_attrs + 1, the table's last row, to fill k_max slots
-    for k, fl in enumerate(floors, start=1):
-        if len(ranked) >= k_max:
-            break
-        # stable, so equal next scores keep ascending index; exhausted (-inf) go last
-        for a in sorted((a for a in range(n_attrs) if fl[a] > last_floor[a]),
-                        key=nxt.__getitem__, reverse=True):
-            if nxt[a] == _NEG_INF:
-                if len(ranked) == total:  # every candidate is placed, and total >= k_max
-                    break
-                if not fallback:
-                    label = task.desired.labels[a]
-                    raise InsufficientCandidates(
-                        f"detconstsort: pool for {label!r} exhausted at counter {k}"
-                    )
-                a = _fallback_pick(counts, pools, ceils[k - 1], nxt, [0] * n_attrs)
-                events += 1
-            item = (nxt[a], k, a)
-            counts[a] += 1
-            nxt[a] = pools[a][counts[a]]
-            i = len(ranked)
-            ranked.append(item)
-            while i > 0 and ranked[i - 1][0] < item[0] and ranked[i - 1][1] > i:
-                ranked[i - 1], ranked[i] = item, ranked[i - 1]
-                i -= 1
-        last_floor = fl
+    for t in range(n_rises):
+        if rows[t] != row:  # the first rise at a new counter
+            if len(ranked) >= k_max:
+                break
+            row = rows[t]
+            end = t + 1
+            while end < n_rises and rows[end] == row:
+                end += 1
+            if end - t > 1:
+                # stable, so equal next scores keep ascending index; exhausted (-inf) go last
+                risers[t:end] = sorted(risers[t:end], key=nxt.__getitem__, reverse=True)
+        a = risers[t]
+        if nxt[a] == _NEG_INF:
+            if len(ranked) == total:  # every candidate is placed, and total >= k_max
+                break
+            if not fallback:
+                label = task.desired.labels[a]
+                raise InsufficientCandidates(
+                    f"detconstsort: pool for {label!r} exhausted at counter {row + 1}"
+                )
+            a = _fallback_pick(counts, pools, ceils[row], nxt, [0] * len(pools))
+            events += 1
+        item = (nxt[a], row + 1, a)
+        counts[a] += 1
+        nxt[a] = pools[a][counts[a]]
+        i = len(ranked)
+        ranked.append(item)
+        while i > 0 and ranked[i - 1][0] < item[0] and ranked[i - 1][1] > i:
+            ranked[i - 1], ranked[i] = item, ranked[i - 1]
+            i -= 1
     assert len(ranked) >= k_max
     scores, _, attrs = zip(*ranked[:k_max])
-    return _ranked(task, attrs, scores, events)
+    return attrs, scores, events
 
 
-def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
-    """Rank a task with the named algorithm."""
-    algo = coerce_algorithm(algorithm)
+def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
+    """(attributes, scores, fallback_events) of algo's ranking of task, unchecked."""
     if algo is Algorithm.VANILLA:
         return _rank_vanilla(task)
     if algo is Algorithm.DET_CONST_SORT:
         return _rank_det_const_sort(task, fallback)
     return _rank_greedy_family(task, algo, fallback)
+
+
+def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
+    """Rank a task with the named algorithm."""
+    return _ranked(task, *_rank_columns(task, coerce_algorithm(algorithm), fallback))

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
 from .metrics import _columns, _cumulative
-from .model import DesiredDistribution, RankedList, RankingTask, ScoredPool, _freeze, _is_int
-from .rerank import _CANONICAL_ORDER, Algorithm, coerce_algorithm, rank
+from .model import DesiredDistribution, RankingTask, ScoredPool, _freeze, _is_int
+from .rerank import _CANONICAL_ORDER, Algorithm, _rank_columns, coerce_algorithm
 
 CSV_HEADER = (
     "num_attr,algorithm,mean_infeasible_index,mean_infeasible_count,"
@@ -134,28 +134,29 @@ class TaskOutcome(NamedTuple):
 def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutcome:
     """Rank one task with each algorithm, then measure the rankings together.
 
-    The successful rankings go through the metrics core as one batch, at
-    depth k_max against the merged pools' descending score order `ideal`, so
-    vanilla scores exactly 1.0. Each ranked algorithm gets one (6,) float64
+    The rankers' raw attribute and score columns, which rank would wrap in
+    RankedLists, go through the metrics core as one (m, k_max) batch, at
+    depth k_max against the merged pools' descending score order `ideal`,
+    so vanilla scores exactly 1.0. Each ranked algorithm gets one (6,) float64
     row in CSV order: infeasible_index, infeasible_count, min_skew,
     max_skew, ndkl and ndcg of measure(ranked, task.desired, ideal,
     task.k_max). Algorithms that raise a RankingError land in failures
     (exception class name) instead of rows.
     """
-    rankings: dict[Algorithm, RankedList] = {}
+    rankings: dict[Algorithm, tuple] = {}
     failures: dict[Algorithm, str] = {}
     for algo in algorithms:
         algo = coerce_algorithm(algo)
         try:
-            rankings[algo] = rank(task, algo, fallback)
+            rankings[algo] = _rank_columns(task, algo, fallback)
         except RankingError as exc:
             failures[algo] = type(exc).__name__
     if not rankings:
         return TaskOutcome({}, failures)
-    lists = rankings.values()
-    cum = _cumulative(np.stack([r.attributes for r in lists]), len(task.desired))
+    attrs, scores, _ = zip(*rankings.values())
+    cum = _cumulative(np.array(attrs, dtype=np.int64), len(task.desired))
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-    scores, floors = np.stack([r.scores for r in lists]), task.table.floors[: task.k_max]
+    scores, floors = np.array(scores, dtype=np.float64), task.table.floors[: task.k_max]
     _, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 

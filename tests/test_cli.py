@@ -117,6 +117,19 @@ class TestRerankCommand:
         path = write_json(tmp_path / "scalar.json", task)
         assert_one_error_line(run_cli("rerank", "--input", path, "--algorithm", "vanilla"))
 
+    @pytest.mark.parametrize(
+        "desired, pools",
+        [
+            ({"a": "0.5", "b": "0.5"}, {"a": ["0.9"], "b": ["0.8"]}),
+            ({"a": True, "b": False}, {"a": [0.9], "b": [0.8]}),
+        ],
+        ids=["numeric-strings", "bools"],
+    )
+    def test_bools_and_numeric_strings_rejected(self, tmp_path, desired, pools):
+        # both used to rank with exit 0
+        path = write_json(tmp_path / "typed.json", {"k": 1, "desired": desired, "pools": pools})
+        assert_one_error_line(run_cli("rerank", "--input", path, "--algorithm", "detgreedy"))
+
     def test_input_that_is_not_utf8_rejected(self, not_utf8_file):
         assert_one_error_line(
             run_cli("rerank", "--input", not_utf8_file, "--algorithm", "vanilla")
@@ -223,8 +236,12 @@ class TestMeasureCommand:
                 {"position": 1, "attribute": "a", "score": 0.9},
                 {"position": 1, "attribute": "b", "score": 0.8},
             ],
+            # float() used to read both scores as numbers, with exit 0
+            [{"position": 1, "attribute": "a", "score": "0.5"}],
+            [{"position": 1, "attribute": "a", "score": True}],
         ],
-        ids=["unhashable-label", "unorderable-positions", "nan-position", "duplicate-positions"],
+        ids=["unhashable-label", "unorderable-positions", "nan-position", "duplicate-positions",
+             "string-score", "bool-score"],
     )
     def test_malformed_rows_rejected(self, tmp_path, records):
         # none may escape as a TypeError traceback (exit 1) or be measured

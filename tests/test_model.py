@@ -64,8 +64,11 @@ class TestDesiredDistribution:
             ([0.5, 0.3, 0.2], fr.ValidationError),  # used to raise a bare numpy ValueError
             ([[0.5], [0.5]], fr.ValidationError),
             (["x", "y"], fr.ValidationError),
+            ([True, False], fr.ValidationError),  # used to read as [1.0, 0.0]
+            (["0.5", "0.5"], fr.ValidationError),  # used to read as [0.5, 0.5]
         ],
-        ids=["short", "nan", "unnormalized", "negative", "long", "2-D", "non-numeric"],
+        ids=["short", "nan", "unnormalized", "negative", "long", "2-D", "non-numeric", "bool",
+             "numeric-string"],
     )
     def test_malformed_proportions_rejected_at_construction(self, proportions, error):
         with pytest.raises(error):
@@ -237,10 +240,11 @@ class TestValidateTask:
                 k_max=2,
             )
 
-    @pytest.mark.parametrize("scores, match", [(["x"], "numeric"), ([None], "non-finite")])
+    @pytest.mark.parametrize("scores, match", [(["x"], "numeric"), ([None], "numeric")])
     def test_non_numeric_scores_of_a_direct_pool_rejected(self, scores, match):
         # a ScoredPool built directly skips from_mapping's conversion; "x" used
-        # to escape task validation as a bare ValueError from np.asarray
+        # to escape task validation as a bare ValueError from np.asarray, and
+        # None used to read as NaN
         with pytest.raises(fr.ValidationError, match=match) as info:
             fr.RankingTask(
                 desired=fr.DesiredDistribution.from_mapping({"a": 1.0}),
@@ -393,6 +397,36 @@ class TestTaskFromDict:
         with pytest.raises(fr.ValidationError, match="must be a list"):
             fr.task_from_dict({"k": 1, "desired": {"a": 1.0}, "pools": {"a": pool}})
 
+    @pytest.mark.parametrize(
+        "desired, pools",
+        [
+            ({"a": "0.5", "b": "0.5"}, {"a": ["0.9"], "b": ["0.8"]}),
+            ({"a": 0.5, "b": 0.5}, {"a": ["0.9"], "b": [0.8]}),
+            ({"a": True, "b": False}, {"a": [0.9], "b": [0.8]}),
+            ({"a": 0.5, "b": 0.5}, {"a": [True], "b": [0.8]}),
+            ({"a": 0.5, "b": 0.5}, {"a": [None], "b": [0.8]}),
+        ],
+        ids=["string-task", "string-pool", "bool-desired", "bool-pool", "none-pool"],
+    )
+    def test_bools_and_numeric_strings_rejected(self, desired, pools):
+        # the string task used to rank, and {"a": true, "b": false} became {"a": 1.0}
+        with pytest.raises(fr.ValidationError, match="numeric"):
+            fr.task_from_dict({"k": 1, "desired": desired, "pools": pools})
+
+    def test_bool_mixed_into_numbers_reads_as_a_number(self):
+        # numpy infers float64 for the whole list; finding the bool would
+        # take a scan per element on every request (see README)
+        task = fr.task_from_dict({"k": 2, "desired": {"a": 1.0}, "pools": {"a": [True, 0.5]}})
+        assert task.pool.scores[0].tolist() == [1.0, 0.5]
+
+    def test_integers_beyond_64_bits(self):
+        # numpy reads them as objects; one that fits a float is a score, and
+        # one that does not used to escape as a bare OverflowError
+        task = fr.task_from_dict({"k": 2, "desired": {"a": 1.0}, "pools": {"a": [10**30, 0.5]}})
+        assert task.pool.scores[0].tolist() == [1e30, 0.5]
+        with pytest.raises(fr.ValidationError, match="numeric"):
+            fr.task_from_dict({"k": 1, "desired": {"a": 1.0}, "pools": {"a": [10**400]}})
+
     def test_missing_keys_rejected(self):
         with pytest.raises(fr.ValidationError, match="missing"):
             fr.task_from_dict({"k": 2, "desired": {"a": 1.0}})
@@ -464,6 +498,14 @@ class TestRankedList:
     def test_malformed_row_rejected(self):
         with pytest.raises(fr.ValidationError):
             fr.RankedList.from_records([{"attribute": "a"}], ("a",))
+
+    @pytest.mark.parametrize(
+        "score", ["0.5", b"0.5", True, np.bool_(False)], ids=["str", "bytes", "bool", "numpy-bool"]
+    )
+    def test_string_or_bool_score_rejected(self, score):
+        # float() used to read "0.5" as 0.5 and True as 1.0
+        with pytest.raises(fr.ValidationError, match="score must be a number"):
+            fr.RankedList.from_records([{"position": 1, "attribute": "a", "score": score}], ("a",))
 
     @pytest.mark.parametrize("index", [-1, 2, 5])
     def test_out_of_range_attribute_index_rejected(self, index):

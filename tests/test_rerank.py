@@ -36,8 +36,8 @@ def exact_det_cons(task, pressure=lambda ce, q: ce / q):
     return out
 
 
-def ref_det_const_sort(task):
-    """DetConstSort as the paper writes it: (attributes, scores) of the top k_max.
+def ref_det_const_sort(task, fallback=False):
+    """DetConstSort as the paper writes it: (attributes, scores, fallback events) of the top k_max.
 
     A counter k advances from 1. Every attribute whose floor(k * p_a) rises
     appends its next candidate with movement bound k, best next score first
@@ -45,26 +45,39 @@ def ref_det_const_sort(task):
     the neighbor scores lower and may sit one position (1-based) further
     down. A rising attribute with no candidate left raises, naming the
     lowest such index, unless the step's other candidates place the last
-    candidate of every pool.
+    candidate of every pool. With fallback, the step's exhausted attributes
+    come last, in index order, and each instead places the best next
+    candidate of an attribute below min(ceil(k * p_a), pool length), else
+    of any attribute with candidates left (ties by index), until every
+    candidate is placed.
     """
     p = task.desired.proportions.tolist()
     pools = [s.tolist() for s in task.pool.scores]
     total = sum(map(len, pools))
     counts, min_counts = [0] * len(p), [0] * len(p)
     attrs, scores, bounds = [], [], []
+    events = 0
     k = 0
     while len(attrs) < task.k_max:
         k += 1
         floors = [ref_floor(k * q) for q in p]
         changed = [a for a in range(len(p)) if floors[a] > min_counts[a]]
         rising = [a for a in changed if counts[a] < len(pools[a])]
-        for a in changed:
-            if a not in rising and len(attrs) + len(rising) < total:
-                label = task.desired.labels[a]
-                raise fr.InsufficientCandidates(
-                    f"detconstsort: pool for {label!r} exhausted at counter {k}"
-                )
-        for a in sorted(rising, key=lambda a: (-pools[a][counts[a]], a)):
+        exhausted = [a for a in changed if a not in rising]
+        if exhausted and not fallback and len(attrs) + len(rising) < total:
+            label = task.desired.labels[exhausted[0]]
+            raise fr.InsufficientCandidates(
+                f"detconstsort: pool for {label!r} exhausted at counter {k}"
+            )
+        for a in sorted(rising, key=lambda a: (-pools[a][counts[a]], a)) + exhausted:
+            if counts[a] == len(pools[a]):
+                if len(attrs) == total:
+                    break
+                ceils = [ref_ceil(k * q) for q in p]
+                left = [b for b in range(len(p)) if counts[b] < min(ceils[b], len(pools[b]))]
+                left = left or [b for b in range(len(p)) if counts[b] < len(pools[b])]
+                a = min(left, key=lambda b: (-pools[b][counts[b]], b))
+                events += 1
             attrs.append(a)
             scores.append(pools[a][counts[a]])
             bounds.append(k)
@@ -75,19 +88,19 @@ def ref_det_const_sort(task):
                     column[j - 1], column[j] = column[j], column[j - 1]
                 j -= 1
         min_counts = floors
-    return attrs[: task.k_max], scores[: task.k_max]
+    return attrs[: task.k_max], scores[: task.k_max], events
 
 
-def assert_det_const_sort_matches_reference(task):
+def assert_det_const_sort_matches_reference(task, fallback=False):
     try:
-        expected = ref_det_const_sort(task)
+        expected = ref_det_const_sort(task, fallback)
     except fr.InsufficientCandidates as exc:
         with pytest.raises(fr.InsufficientCandidates) as raised:
-            fr.rank(task, "detconstsort")
+            fr.rank(task, "detconstsort", fallback)
         assert str(raised.value) == str(exc)
         return str(exc)
-    ranked = fr.rank(task, "detconstsort")
-    assert (ranked.attributes.tolist(), ranked.scores.tolist()) == expected
+    ranked = fr.rank(task, "detconstsort", fallback)
+    assert (ranked.attributes.tolist(), ranked.scores.tolist(), ranked.fallback_events) == expected
     return None
 
 
@@ -290,6 +303,51 @@ class TestDetConstSort:
         for trial in range(90):
             task = random_task(spawn_rng(23, trial), num_attr=2 + trial % 9)
             assert assert_det_const_sort_matches_reference(task) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_long_event_walks_match_reference(self, n):
+        # k = 1000 walks about 1,000 floor rises, far past the small tasks' few
+        for trial in range(2):
+            task = random_task(spawn_rng(29, n, trial), num_attr=n, pool_size=1000, k=1000)
+            assert assert_det_const_sort_matches_reference(task) is None
+
+    def test_attributes_rising_together_on_tied_scores_go_by_index(self):
+        # all ten floors rise at k = 10, 20, ... with equal next scores, so
+        # only the tie rule orders each step
+        p = {f"a{i}": 0.1 for i in range(10)}
+        pool = [1.0 - i / 10 for i in range(10)]
+        task = make_task(p, {a: pool for a in p}, 100)
+        assert assert_det_const_sort_matches_reference(task) is None
+        assert fr.rank(task, "detconstsort").attributes.tolist() == list(range(10)) * 10
+        # scores on a 0.25 grid tie some of the ten and not others
+        for trial in range(20):
+            rng = spawn_rng(37, trial)
+            pools = {a: sorted(np.round(rng.random(12) * 4) / 4, reverse=True) for a in p}
+            assert assert_det_const_sort_matches_reference(make_task(p, pools, 100)) is None
+
+    def test_three_way_rises_at_multiples_of_twenty(self):
+        # p = (0.05, 0.35, 0.6): all three floors rise at k = 20, 40, ...
+        p = {"a": 0.05, "b": 0.35, "c": 0.6}
+        for trial in range(20):
+            rng = spawn_rng(41, trial)
+            pools = {a: sorted(rng.random(100), reverse=True) for a in p}
+            assert assert_det_const_sort_matches_reference(make_task(p, pools, 100)) is None
+
+    def test_exhausted_pool_rising_with_others(self):
+        # at k = 20 all ten floors rise; five pools hold 3 candidates, five
+        # hold 1, so five exhausted pools rise in one step with five live ones
+        p = {f"a{i}": 0.1 for i in range(10)}
+        pools = {a: [0.9 - i / 50, 0.3, 0.2][: 3 if i % 2 else 1] for i, a in enumerate(p)}
+        task = make_task(p, pools, 15)
+        error = assert_det_const_sort_matches_reference(task)
+        assert error == "detconstsort: pool for 'a0' exhausted at counter 20"
+        assert assert_det_const_sort_matches_reference(task, fallback=True) is None
+        assert fr.rank(task, "detconstsort", fallback=True).fallback_events == 5
+
+    def test_tight_pools_match_reference_with_and_without_fallback(self):
+        for task in tight_pool_tasks(count=400, seed=43):
+            for fallback in (False, True):
+                assert_det_const_sort_matches_reference(task, fallback)
 
 
 class TestFallback:
@@ -527,6 +585,25 @@ def test_rank_digest_on_tight_pools_is_pinned():
     assert rank_digest(tight_pool_tasks()) == (
         "4b0f4b7da1b4f820ef8bdd79a3bac57088b1727023756188dc183e4ee158f3bc"
     )
+
+
+def test_run_task_agrees_with_rank_on_every_outcome():
+    # run_task ranks through the raw kernels; its rows and failures must be
+    # what rank and measure give, algorithm by algorithm
+    for task in tight_pool_tasks():
+        ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
+        for fallback in (False, True):
+            outcome = fr.run_task(task, list(fr.Algorithm), fallback)
+            ranked = {a: rank_or_error(task, a, fallback) for a in fr.Algorithm}
+            assert list(outcome.rows) == [a for a, r in ranked.items() if isinstance(r, fr.RankedList)]
+            assert outcome.failures == {
+                a: type(r).__name__ for a, r in ranked.items() if isinstance(r, fr.RankingError)
+            }
+            for algo, row in outcome.rows.items():
+                r = fr.measure(ranked[algo], task.desired, ideal_scores=ideal, k=task.k_max)
+                assert row.tolist() == [
+                    r.infeasible_index, r.infeasible_count, r.min_skew, r.max_skew, r.ndkl, r.ndcg
+                ]
 
 
 def rank_outcome(task, algo, fallback):
