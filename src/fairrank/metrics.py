@@ -32,10 +32,18 @@ below its floor quota floor(k * p_a); infeasible_count counts the individual
 (attribute, k) violations. Quotas round through quota.floor_quotas so these
 checks agree with the re-ranking algorithms.
 
-A chain of metric calls on one (list, distribution) pair counts prefixes,
-rounds floors and checks labels once: _tables keeps the last pair's read-only
-tables beside weakrefs to both objects, which own read-only arrays and label
-tuples, so no result depends on what is kept.
+Every skew and NDKL reads one log-share matrix per list,
+L[i - 1, a] = ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) over every prefix
+length i, with c_ia the count of attribute a in the top i: the skews at depth
+k are row k - 1, and NDKL's KL terms are (c_ia / i) * L[i - 1, a].
+
+A chain of metric calls on one (list, distribution) pair checks labels once,
+and builds each table it needs once: _table keeps the last pair's read-only
+prefix counts, floors, log-share matrix and floor-violation mask beside
+weakrefs to both objects, each built on first use (measure leaves its own
+matrix and mask there). Both objects own read-only arrays and label tuples,
+so no result depends on what is kept, and every array a caller gets back is
+its own copy, never a view into a kept table.
 """
 
 from __future__ import annotations
@@ -61,7 +69,10 @@ SKEW_EPSILON = 1e-6
 
 DEFAULT_DEPTH = 100
 
-_last = (lambda: None, lambda: None, None, None)  # (weakref to a list, to a distribution, tables)
+# weakrefs to the last list and distribution, then their tables in the slots below
+_EMPTY = (None, None, None, None)
+_last = (lambda: None, lambda: None) + _EMPTY
+_COUNTS, _FLOORS, _LOGS, _VIOLATIONS = range(2, 6)
 
 
 def _check_depth(k, n: int) -> int:
@@ -82,23 +93,58 @@ def prefix_counts(ranked: RankedList) -> np.ndarray:
     return _freeze(_cumulative(ranked.attributes, len(ranked.labels)))
 
 
-def _tables(ranked: RankedList, desired: DesiredDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """prefix_counts(ranked) and the read-only floors floor(k * p_a), k = 1..len(ranked).
+def _log_shares(cum: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shares c_ia / i and log-shares ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) of (..., n, A) counts.
 
-    Keeps the last pair's tables, so a chain of calls on one pair builds them,
-    and checks that its labels match, once.
+    Row k - 1 of the log-shares is every attribute's skew at depth k, and
+    shares * log-shares are NDKL's KL terms.
     """
+    ks = np.arange(1.0, cum.shape[-2] + 1)[:, None]
+    shares = cum / ks
+    return shares, np.log(np.maximum(shares, SKEW_EPSILON / ks) / p)
+
+
+def _pair(ranked: RankedList, desired: DesiredDistribution) -> tuple:
+    """The memo entry of this pair; a new pair gets empty slots once its labels match."""
     global _last
-    list_ref, dist_ref, cum, floors = _last
-    if list_ref() is not ranked or dist_ref() is not desired:
+    entry = _last
+    if entry[0]() is not ranked or entry[1]() is not desired:
         if ranked.labels != desired.labels:
             raise SupportMismatch(
                 f"ranked labels {ranked.labels!r} do not match desired labels {desired.labels!r}"
             )
-        cum = prefix_counts(ranked)
-        floors = _freeze(floor_quotas(prefix_products(desired.proportions, len(ranked))))
-        _last = (weakref.ref(ranked), weakref.ref(desired), cum, floors)
-    return cum, floors
+        entry = _last = (weakref.ref(ranked), weakref.ref(desired)) + _EMPTY
+    return entry
+
+
+def _keep(ranked: RankedList, desired: DesiredDistribution, tables: dict) -> None:
+    """Make tables ({slot: table}) read-only and keep them in this pair's slots.
+
+    The memo is rebound as one tuple, so a thread race costs at most a rebuild.
+    """
+    global _last
+    entry = list(_pair(ranked, desired))  # re-read: a nested build may have filled a slot
+    for slot, table in tables.items():
+        entry[slot] = _freeze(table)
+    _last = tuple(entry)
+
+
+def _table(ranked: RankedList, desired: DesiredDistribution, slot: int) -> np.ndarray:
+    """The pair's read-only table in slot, built on first use; row i covers the top i + 1."""
+    table = _pair(ranked, desired)[slot]
+    if table is None:
+        table = _BUILD[slot](ranked, desired)
+        _keep(ranked, desired, {slot: table})
+    return table
+
+
+_BUILD = {
+    _COUNTS: lambda r, d: prefix_counts(r),
+    _FLOORS: lambda r, d: floor_quotas(prefix_products(d.proportions, len(r))),
+    # built only for strictly positive proportions: the skews rely on that
+    _LOGS: lambda r, d: _log_shares(_table(r, d, _COUNTS), d.proportions)[1],
+    _VIOLATIONS: lambda r, d: _table(r, d, _COUNTS) < _table(r, d, _FLOORS),
+}
 
 
 def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
@@ -107,19 +153,21 @@ def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
     return np.bincount(ranked.attributes[:k], minlength=len(ranked.labels)) / k
 
 
-def _skews(shares: np.ndarray, k: int, p: np.ndarray) -> np.ndarray:
-    """ln(share / p) per attribute, shares clamped below at SKEW_EPSILON / k."""
-    return np.log(np.maximum(shares, SKEW_EPSILON / k) / p)
+def _skew_row(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
+    """Every attribute's skew at depth k: row k - 1 of the pair's kept log-share matrix."""
+    logs = _pair(ranked, desired)[_LOGS]
+    k = _check_depth(k, len(ranked))
+    if logs is None:
+        # a kept matrix was built from strictly positive proportions, so only a build checks
+        if desired.proportions.min() <= 0:
+            raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
+        logs = _table(ranked, desired, _LOGS)
+    return logs[k - 1]
 
 
 def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
-    """Skew of every attribute value at depth k (natural log)."""
-    cum, _ = _tables(ranked, desired)
-    k = _check_depth(k, len(ranked))
-    p = desired.proportions
-    if p.min() <= 0:
-        raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
-    return _skews(cum[k - 1] / k, k, p)
+    """Skew of every attribute value at depth k (natural log), as an array of its own."""
+    return _skew_row(ranked, desired, k).copy()
 
 
 def skew_at_k(ranked: RankedList, desired: DesiredDistribution, attr, k: int) -> float:
@@ -131,17 +179,17 @@ def skew_at_k(ranked: RankedList, desired: DesiredDistribution, attr, k: int) ->
     else:
         n = len(desired.labels)
         raise UnknownAttribute(f"attribute {attr!r} is not a label or an index in 0..{n - 1}")
-    return float(skews_at_k(ranked, desired, k)[idx])
+    return float(_skew_row(ranked, desired, k)[idx])
 
 
 def min_skew_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> float:
     """Most negative skew at depth k (worst under-representation); <= 0."""
-    return min(float(skews_at_k(ranked, desired, k).min()), 0.0)
+    return min(float(_skew_row(ranked, desired, k).min()), 0.0)
 
 
 def max_skew_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> float:
     """Most positive skew at depth k (worst over-representation); >= 0."""
-    return max(float(skews_at_k(ranked, desired, k).max()), 0.0)
+    return max(float(_skew_row(ranked, desired, k).max()), 0.0)
 
 
 def kl_divergence(p, q) -> float:
@@ -162,14 +210,15 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[positive] * np.log(p[positive] / q[positive])))
 
 
-def _ndkl_from_counts(cum: np.ndarray, p: np.ndarray, ks, discount) -> np.ndarray:
-    """NDKL of (..., n, num_attrs) prefix counts; ks = 1..n, discount = log2(ks + 1)."""
-    observed = cum / ks[:, None]
-    # a zero share gets ratio 1, so its term is 0 * log(1) = 0 with no warning
-    ratio = np.divide(observed, p, out=np.ones_like(observed), where=observed > 0)
-    terms = observed * np.log(ratio)
+def _ndkl(shares: np.ndarray, logs: np.ndarray, discount) -> np.ndarray:
+    """NDKL of (..., n, num_attrs) prefix shares and their log-shares; discount = log2(ks + 1).
+
+    An absent attribute's term is 0 * ln(SKEW_EPSILON / i / p_a), a zero, and
+    every prefix holds a present attribute's term, which is never -0.0, so
+    each prefix's sum is the sum of its present terms, bit for bit.
+    """
     weights = 1.0 / discount
-    return (terms.sum(axis=-1) * weights).sum(axis=-1) / weights.sum()
+    return ((shares * logs).sum(axis=-1) * weights).sum(axis=-1) / weights.sum()
 
 
 def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
@@ -178,14 +227,21 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     Covers the whole list regardless of any evaluation depth; >= 0, and 0
     exactly when every prefix distribution equals the desired one.
     """
-    cum, _ = _tables(ranked, desired)
+    _pair(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
+    cum = _table(ranked, desired, _COUNTS)
     p = desired.proportions
     if np.any((cum[-1] > 0) & (p <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
+    if p.min() > 0:
+        logs = _table(ranked, desired, _LOGS)
+    else:
+        # each p_a = 0 is absent from the list; a stand-in of 1 makes its terms
+        # 0 * finite instead of 0 * inf = NaN, and this matrix is not kept
+        logs = _log_shares(cum, np.where(p > 0, p, 1.0))[1]
     ks = np.arange(1.0, len(ranked) + 1)
-    return float(_ndkl_from_counts(cum, p, ks, np.log2(ks + 1)))
+    return float(_ndkl(cum / ks[:, None], logs, np.log2(ks + 1)))
 
 
 def _score_vector(values, what: str) -> np.ndarray:
@@ -239,15 +295,9 @@ def ndcg(ranked, ideal_scores) -> float:
     return float(_ndcg_rows(s.reshape(1, -1), ideal_scores, discount)[0])
 
 
-def _floor_violations(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
-    """(n, num_attrs) mask of prefix counts below floor(k * p_a); row i is k = i + 1."""
-    cum, floors = _tables(ranked, desired)
-    return cum < floors
-
-
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
-    return np.flatnonzero(_floor_violations(ranked, desired).any(axis=1)) + 1
+    return np.flatnonzero(_table(ranked, desired, _VIOLATIONS).any(axis=1)) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -257,7 +307,7 @@ def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
 
 def infeasible_count(ranked: RankedList, desired: DesiredDistribution) -> int:
     """Number of (attribute, prefix length) floor-quota violations."""
-    return int(_floor_violations(ranked, desired).sum())
+    return int(_table(ranked, desired, _VIOLATIONS).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,11 +352,11 @@ def _columns(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal, floors
     cum holds their (m, n, num_attrs) prefix counts, scores their (m, n)
     scores, floors the (n, num_attrs) table floor(i * p_a) for prefix
     lengths i = 1..n, and ideal is the one ideal score vector for all of
-    them. Returns the (m, num_attrs) skew matrix and one (m,) column per
-    scalar measure, in CSV order: infeasible_index, infeasible_count,
-    min_skew, max_skew, ndkl, ndcg. Every reduction runs along the last
-    axis in the single-list order, so a list's values are bit-identical in
-    a batch of one or of many.
+    them. Returns the (m, n, num_attrs) log-share matrices and floor-violation
+    masks, and one (m,) column per scalar measure, in CSV order:
+    infeasible_index, infeasible_count, min_skew, max_skew, ndkl, ndcg.
+    Every reduction runs along the last axis in the single-list order, so a
+    list's values are bit-identical in a batch of one or of many.
     """
     p = desired.proportions
     if p.min() <= 0:
@@ -314,13 +364,14 @@ def _columns(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal, floors
     ks = np.arange(1.0, cum.shape[1] + 1)
     discount = np.log2(ks + 1)
     violations = cum < floors
-    skew = _skews(cum[:, k - 1] / k, k, p)
-    return skew, (
+    shares, logs = _log_shares(cum, p)
+    skew = logs[:, k - 1]
+    return logs, violations, (
         violations.any(axis=2).sum(axis=1),
         violations.sum(axis=(1, 2)),
         skew.min(axis=1, initial=0.0),
         skew.max(axis=1, initial=0.0),
-        _ndkl_from_counts(cum, p, ks, discount),
+        _ndkl(shares, logs, discount),
         _ndcg_rows(scores[:, :k], ideal, discount[:k]),
     )
 
@@ -338,12 +389,16 @@ def measure(
     list that is itself score-sorted; pass the merged candidate scores to
     measure utility loss against the unconstrained ordering.
     """
-    cum, floors = _tables(ranked, desired)
+    _pair(ranked, desired)
     n = len(ranked)
     if n == 0:
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    skew, columns = _columns(cum[None], ranked.scores[None], desired, k, ideal, floors)
+    cum, floors = _table(ranked, desired, _COUNTS), _table(ranked, desired, _FLOORS)
+    logs, violations, columns = _columns(cum[None], ranked.scores[None], desired, k, ideal, floors)
+    _keep(ranked, desired, {_LOGS: logs[0], _VIOLATIONS: violations[0]})
     index, count, low, high, div, gain = [column.item(0) for column in columns]
-    return MetricsReport(desired.labels, skew[0], low, high, div, gain, index, count, k)
+    # a copy, so a kept report holds k's row and not the whole matrix
+    skew = logs[0, k - 1].copy()
+    return MetricsReport(desired.labels, skew, low, high, div, gain, index, count, k)

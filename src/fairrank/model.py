@@ -289,13 +289,14 @@ class RankedList:
         return len(self.attributes)
 
     def attribute_labels(self) -> list[str]:
-        return [self.labels[a] for a in self.attributes]
+        return [self.labels[a] for a in self.attributes.tolist()]
 
     def to_records(self) -> list[dict]:
         """JSON-friendly rows: position (1-based), attribute label, score."""
+        labels = self.labels
         return [
-            {"position": i + 1, "attribute": self.labels[a], "score": float(s)}
-            for i, (a, s) in enumerate(zip(self.attributes, self.scores))
+            {"position": i, "attribute": labels[a], "score": s}
+            for i, (a, s) in enumerate(zip(self.attributes.tolist(), self.scores.tolist()), 1)
         ]
 
     @classmethod

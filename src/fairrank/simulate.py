@@ -19,7 +19,6 @@ records how many tasks each mean covers.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -157,7 +156,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     cum = _cumulative(np.array(attrs, dtype=np.int64), len(task.desired))
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
     scores, floors = np.array(scores, dtype=np.float64), task.table.floors[: task.k_max]
-    _, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)
+    *_, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 
 
@@ -189,6 +188,9 @@ def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
     if workers == 1:
         results = [_run_chunk(config, *span) for span in spans]
     else:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, repeat(config), *zip(*spans)))
 

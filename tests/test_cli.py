@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fairrank import rank, task_from_dict
 from fairrank.cli import build_parser, main
 
 FOUR_GROUP_TASK = {
@@ -144,6 +145,44 @@ class TestRerankCommand:
         assert rescued.returncode == 0
         assert "fallback" in rescued.stderr
         assert len(json.loads(rescued.stdout)) == 4
+
+
+PINNED_TASK = {
+    "k": 6,
+    "desired": {"x": 0.5, "y": 0.3, "z": 0.2},
+    "pools": {"x": [0.30000000000000004, 1e-07, 0.0], "y": [2.5, 0.1], "z": [123456789.125, 3.0]},
+}
+
+PINNED_ROWS = [
+    (1, "y", 2.5), (2, "x", 0.30000000000000004), (3, "z", 123456789.125),
+    (4, "x", 1e-07), (5, "y", 0.1), (6, "x", 0.0),
+]
+
+
+class TestRecords:
+    """rerank's rows and JSON bytes on one fixed task, whatever builds them."""
+
+    def test_rows_are_plain_python_values(self):
+        ranked = rank(task_from_dict(PINNED_TASK), "detconstsort")
+        records = ranked.to_records()
+        assert records == [
+            {"position": i, "attribute": a, "score": s} for i, a, s in PINNED_ROWS
+        ]
+        # numpy scalars compare equal to these, so check the types themselves
+        assert {(type(r["position"]), type(r["attribute"]), type(r["score"])) for r in records} == {
+            (int, str, float)
+        }
+
+    def test_cli_bytes(self, tmp_path):
+        path = write_json(tmp_path / "task.json", PINNED_TASK)
+        out = tmp_path / "out.json"
+        args = ["rerank", "--input", path, "--algorithm", "detconstsort", "--output", str(out)]
+        assert main(args) == 0
+        rows = ",\n".join(
+            f'  {{\n    "position": {i},\n    "attribute": "{a}",\n    "score": {s!r}\n  }}'
+            for i, a, s in PINNED_ROWS
+        )
+        assert out.read_text() == "[\n" + rows + "\n]\n"
 
 
 class TestMeasureCommand:

@@ -601,3 +601,92 @@ class TestTableSlots:
         assert errors == [None] * 8
         assert all(rounds), rounds
         assert mismatches == [0] * 8
+
+
+def bits(value):
+    """A value's exact bits: arrays by dtype, shape and bytes, floats by their IEEE encoding."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+# every call the memo serves, at every depth of the list
+def memo_calls(length):
+    calls = [fr.ndkl, fr.infeasible_prefixes, fr.infeasible_index, fr.infeasible_count]
+    for k in range(1, length + 1):
+        calls += [
+            lambda r, d, k=k: fr.skews_at_k(r, d, k),
+            lambda r, d, k=k: fr.skew_at_k(r, d, k % len(r.labels), k),
+            lambda r, d, k=k: fr.min_skew_at_k(r, d, k),
+            lambda r, d, k=k: fr.max_skew_at_k(r, d, k),
+        ]
+    return calls
+
+
+class TestLogShareMemo:
+    """measure and the skews read one kept log-share matrix; what they return is their own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(list_with_desired())
+    @example(THIRDS_ABOVE_SHARE)
+    def test_calls_after_measure_match_a_cold_memo_bit_for_bit(self, case):
+        ranked, desired = case
+        calls = memo_calls(len(ranked))
+        fr.measure(ranked, desired)
+        warm = [bits(call(ranked, desired)) for call in calls]
+        assert warm == [bits(call(*copies(ranked, desired))) for call in calls]
+
+    def test_returned_skews_own_their_data(self):
+        ranked, desired = random_case(np.random.default_rng(41), 4, 50)
+        want = fr.skews_at_k(*copies(ranked, desired), 50)
+        report = fr.measure(ranked, desired)
+        skews = fr.skews_at_k(ranked, desired, 50)
+        for array in (report.skew, skews):
+            assert array.base is None and array.flags.owndata and array.shape == (4,)
+            array[:] = 99.0
+        assert bits(fr.skews_at_k(ranked, desired, 50)) == bits(want)
+        assert bits(fr.measure(ranked, desired).skew) == bits(want)
+        assert fr.max_skew_at_k(ranked, desired, 50) == max(float(want.max()), 0.0)
+
+    def test_ndkl_accepts_a_zero_proportion_the_list_never_shows(self):
+        ranked = make_ranked("abab", ("a", "b", "c"))
+        desired = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5, "c": 0.0})
+        for _ in range(2):
+            assert fr.ndkl(ranked, desired) == 0.2816450300785086
+            assert fr.ndkl(ranked, desired) == pytest.approx(naive_ndkl("abab", desired), rel=1e-12)
+            # ndkl's matrix for a zero proportion is not kept for the skews
+            with pytest.raises(fr.ZeroDesiredProportion):
+                fr.skews_at_k(ranked, desired, 2)
+            with pytest.raises(fr.ZeroDesiredProportion):
+                fr.measure(ranked, desired)
+
+    def test_a_cold_skew_query_rounds_no_floors(self, monkeypatch):
+        rounded = []
+        real = fr.metrics.floor_quotas
+        monkeypatch.setattr(fr.metrics, "floor_quotas", lambda t: rounded.append(1) or real(t))
+        ranked, desired = random_case(np.random.default_rng(43), 3, 30)
+        fr.min_skew_at_k(ranked, desired, 10)
+        fr.skews_at_k(ranked, desired, 30)
+        fr.ndkl(ranked, desired)
+        assert rounded == []
+        fr.infeasible_prefixes(ranked, desired)
+        fr.infeasible_count(ranked, desired)
+        fr.measure(ranked, desired)
+        assert rounded == [1]
+
+    def test_checks_run_in_order_before_any_table_is_built(self):
+        ranked = make_ranked("abab", ("a", "b"))
+        zero = fr.DesiredDistribution.from_mapping({"a": 1.0, "b": 0.0})
+        other = fr.DesiredDistribution.from_mapping({"a": 0.5, "c": 0.5})
+        empty = fr.RankedList(("a", "b"), np.array([], dtype=np.int64), np.array([]))
+        with pytest.raises(fr.SupportMismatch):
+            fr.min_skew_at_k(ranked, other, 9)
+        with pytest.raises(fr.KOutOfRange):
+            fr.min_skew_at_k(ranked, zero, 9)
+        with pytest.raises(fr.ValidationError, match="empty"):
+            fr.measure(empty, zero)
+        with pytest.raises(fr.ZeroDesiredProportion):
+            fr.max_skew_at_k(ranked, zero, 2)
+        assert fr.metrics._last[2:] == (None,) * 4

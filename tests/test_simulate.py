@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,16 @@ class TestRunGrid:
         config = fr.SimulationConfig(**SMALL)
         assert fr.run_grid(config, jobs=1) == fr.run_grid(config, jobs=2)
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # a serial run never needs multiprocessing; run_grid imports it for jobs > 1
+        code = (
+            "import sys, fairrank, fairrank.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_bad_jobs_rejected(self):
         # "2" must not raise TypeError
         for jobs in (0, "2", 1.5, None):
@@ -202,7 +215,8 @@ class TestRunGrid:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialExecutor)
+        # run_grid imports the pool class when it needs one, so patch it at its source
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialExecutor)
         # two sizes of one chunk each: two work units
         config = fr.SimulationConfig(**{**SMALL, "num_distributions": 4})
         assert fr.run_grid(config, jobs=5000) == fr.run_grid(config)
