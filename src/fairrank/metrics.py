@@ -38,18 +38,18 @@ length i, with c_ia the count of attribute a in the top i: the skews at depth
 k are row k - 1, and NDKL's KL terms are (c_ia / i) * L[i - 1, a].
 
 A chain of metric calls on one (list, distribution) pair checks labels once,
-and builds each table it needs once: _table keeps the last pair's read-only
-prefix counts, floors, log-share matrix and floor-violation mask beside
-weakrefs to both objects, each built on first use (measure leaves its own
-matrix and mask there). Both objects own read-only arrays and label tuples,
-so no result depends on what is kept, and every array a caller gets back is
-its own copy, never a view into a kept table.
+and builds each table it needs once: one memo entry, a _Pair, holds the last
+pair and its read-only prefix counts, floors, log-share matrix and
+floor-violation mask, each built on first use (measure leaves its own matrix
+and mask there). Both objects own read-only arrays and label tuples, so no
+result depends on what is kept, and every array a caller gets back is its own
+copy, never a view into a kept table.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,11 +68,6 @@ from .quota import floor_quotas, prefix_products
 SKEW_EPSILON = 1e-6
 
 DEFAULT_DEPTH = 100
-
-# weakrefs to the last list and distribution, then their tables in the slots below
-_EMPTY = (None, None, None, None)
-_last = (lambda: None, lambda: None) + _EMPTY
-_COUNTS, _FLOORS, _LOGS, _VIOLATIONS = range(2, 6)
 
 
 def _check_depth(k, n: int) -> int:
@@ -104,47 +99,53 @@ def _log_shares(cum: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return shares, np.log(np.maximum(shares, SKEW_EPSILON / ks) / p)
 
 
-def _pair(ranked: RankedList, desired: DesiredDistribution) -> tuple:
-    """The memo entry of this pair; a new pair gets empty slots once its labels match."""
+class _Pair:
+    """A (list, distribution) pair and its lazy read-only tables; row i covers the top i + 1."""
+
+    def __init__(self, ranked: RankedList | None, desired: DesiredDistribution | None):
+        self.ranked, self.desired = ranked, desired
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return prefix_counts(self.ranked)
+
+    @cached_property
+    def floors(self) -> np.ndarray:
+        return _freeze(floor_quotas(prefix_products(self.desired.proportions, len(self.ranked))))
+
+    @cached_property
+    def positive(self) -> bool:
+        return bool(self.desired.proportions.min() > 0)
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        # a zero p_a is absent from any list ndkl takes; a stand-in of 1 makes its
+        # terms 0 * finite instead of 0 * inf = NaN, and the skews refuse it first
+        p = self.desired.proportions
+        return _freeze(_log_shares(self.counts, np.where(p > 0, p, 1.0))[1])
+
+    @cached_property
+    def violations(self) -> np.ndarray:
+        return _freeze(self.counts < self.floors)
+
+
+_last = _Pair(None, None)
+
+
+def _pair(ranked: RankedList, desired: DesiredDistribution) -> _Pair:
+    """The memo entry of this pair; a new pair replaces the last once its labels match.
+
+    Each call reads the entry it got, so a thread race costs at most a rebuild.
+    """
     global _last
     entry = _last
-    if entry[0]() is not ranked or entry[1]() is not desired:
+    if entry.ranked is not ranked or entry.desired is not desired:
         if ranked.labels != desired.labels:
             raise SupportMismatch(
                 f"ranked labels {ranked.labels!r} do not match desired labels {desired.labels!r}"
             )
-        entry = _last = (weakref.ref(ranked), weakref.ref(desired)) + _EMPTY
+        entry = _last = _Pair(ranked, desired)
     return entry
-
-
-def _keep(ranked: RankedList, desired: DesiredDistribution, tables: dict) -> None:
-    """Make tables ({slot: table}) read-only and keep them in this pair's slots.
-
-    The memo is rebound as one tuple, so a thread race costs at most a rebuild.
-    """
-    global _last
-    entry = list(_pair(ranked, desired))  # re-read: a nested build may have filled a slot
-    for slot, table in tables.items():
-        entry[slot] = _freeze(table)
-    _last = tuple(entry)
-
-
-def _table(ranked: RankedList, desired: DesiredDistribution, slot: int) -> np.ndarray:
-    """The pair's read-only table in slot, built on first use; row i covers the top i + 1."""
-    table = _pair(ranked, desired)[slot]
-    if table is None:
-        table = _BUILD[slot](ranked, desired)
-        _keep(ranked, desired, {slot: table})
-    return table
-
-
-_BUILD = {
-    _COUNTS: lambda r, d: prefix_counts(r),
-    _FLOORS: lambda r, d: floor_quotas(prefix_products(d.proportions, len(r))),
-    # built only for strictly positive proportions: the skews rely on that
-    _LOGS: lambda r, d: _log_shares(_table(r, d, _COUNTS), d.proportions)[1],
-    _VIOLATIONS: lambda r, d: _table(r, d, _COUNTS) < _table(r, d, _FLOORS),
-}
 
 
 def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
@@ -154,15 +155,12 @@ def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
 
 
 def _skew_row(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
-    """Every attribute's skew at depth k: row k - 1 of the pair's kept log-share matrix."""
-    logs = _pair(ranked, desired)[_LOGS]
+    """Every attribute's skew at depth k: row k - 1 of the pair's log-share matrix."""
+    entry = _pair(ranked, desired)
     k = _check_depth(k, len(ranked))
-    if logs is None:
-        # a kept matrix was built from strictly positive proportions, so only a build checks
-        if desired.proportions.min() <= 0:
-            raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
-        logs = _table(ranked, desired, _LOGS)
-    return logs[k - 1]
+    if not entry.positive:
+        raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
+    return entry.logs[k - 1]
 
 
 def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
@@ -200,7 +198,9 @@ def kl_divergence(p, q) -> float:
     """
     p = _as_float_array(p, "p")
     q = _as_float_array(q, "q")
-    if p.shape != q.shape or p.ndim != 1:
+    if p.ndim != 1 or q.ndim != 1:
+        raise ValidationError(f"p and q must be flat vectors, got shapes {p.shape} and {q.shape}")
+    if p.shape != q.shape:
         raise SupportMismatch(f"supports differ: {p.shape} vs {q.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))) or np.any(p < 0) or np.any(q < 0):
         raise ValidationError("distributions must be finite and non-negative")
@@ -227,21 +227,14 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     Covers the whole list regardless of any evaluation depth; >= 0, and 0
     exactly when every prefix distribution equals the desired one.
     """
-    _pair(ranked, desired)
+    entry = _pair(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
-    cum = _table(ranked, desired, _COUNTS)
-    p = desired.proportions
-    if np.any((cum[-1] > 0) & (p <= 0)):
+    cum = entry.counts
+    if np.any((cum[-1] > 0) & (desired.proportions <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
-    if p.min() > 0:
-        logs = _table(ranked, desired, _LOGS)
-    else:
-        # each p_a = 0 is absent from the list; a stand-in of 1 makes its terms
-        # 0 * finite instead of 0 * inf = NaN, and this matrix is not kept
-        logs = _log_shares(cum, np.where(p > 0, p, 1.0))[1]
     ks = np.arange(1.0, len(ranked) + 1)
-    return float(_ndkl(cum / ks[:, None], logs, np.log2(ks + 1)))
+    return float(_ndkl(cum / ks[:, None], entry.logs, np.log2(ks + 1)))
 
 
 def _score_vector(values, what: str) -> np.ndarray:
@@ -297,7 +290,7 @@ def ndcg(ranked, ideal_scores) -> float:
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
-    return np.flatnonzero(_table(ranked, desired, _VIOLATIONS).any(axis=1)) + 1
+    return np.flatnonzero(_pair(ranked, desired).violations.any(axis=1)) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -307,7 +300,7 @@ def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
 
 def infeasible_count(ranked: RankedList, desired: DesiredDistribution) -> int:
     """Number of (attribute, prefix length) floor-quota violations."""
-    return int(_table(ranked, desired, _VIOLATIONS).sum())
+    return int(_pair(ranked, desired).violations.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,15 +382,16 @@ def measure(
     list that is itself score-sorted; pass the merged candidate scores to
     measure utility loss against the unconstrained ordering.
     """
-    _pair(ranked, desired)
+    entry = _pair(ranked, desired)
     n = len(ranked)
     if n == 0:
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    cum, floors = _table(ranked, desired, _COUNTS), _table(ranked, desired, _FLOORS)
+    cum, floors = entry.counts, entry.floors
     logs, violations, columns = _columns(cum[None], ranked.scores[None], desired, k, ideal, floors)
-    _keep(ranked, desired, {_LOGS: logs[0], _VIOLATIONS: violations[0]})
+    # _columns refuses a zero proportion, so the pair is positive
+    entry.logs, entry.violations, entry.positive = _freeze(logs[0]), _freeze(violations[0]), True
     index, count, low, high, div, gain = [column.item(0) for column in columns]
     # a copy, so a kept report holds k's row and not the whole matrix
     skew = logs[0, k - 1].copy()

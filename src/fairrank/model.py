@@ -249,7 +249,8 @@ class RankedList:
     attributes[i] indexes into labels; position i of the list (0-based) holds
     a candidate of attribute labels[attributes[i]] with score scores[i].
     fallback_events counts positions where a constrained algorithm had to
-    substitute an attribute because the one its rule demanded was exhausted.
+    substitute an attribute because the one its rule demanded was exhausted;
+    it must be a non-negative integer (not a bool) and is stored as an int.
 
     Construction rejects attribute and score arrays of different shapes
     (LengthMismatch), attributes that are not a flat array of integers (an
@@ -279,6 +280,10 @@ class RankedList:
             raise UnknownAttribute(f"attribute index outside 0..{len(self.labels) - 1}")
         if not np.isfinite(scores).all():
             raise ValidationError("ranked scores must be finite")
+        events = self.fallback_events
+        if not _is_int(events) or events < 0:
+            raise ValidationError(f"fallback_events must be an integer >= 0, got {events!r}")
+        object.__setattr__(self, "fallback_events", int(events))
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "scores", scores)
 

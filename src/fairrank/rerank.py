@@ -68,7 +68,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InsufficientCandidates, UnknownAlgorithm
+from .errors import InsufficientCandidates, UnknownAlgorithm, ValidationError
 from .model import RankedList, RankingTask, _freeze
 from .quota import SNAP_TOL, ceil_quotas
 
@@ -269,6 +269,8 @@ def _rank_det_const_sort(task: RankingTask, fallback: bool):
 
 def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
     """(attributes, scores, fallback_events) of algo's ranking of task, unchecked."""
+    if not isinstance(fallback, (bool, np.bool_)):  # "no" must not turn fallback on
+        raise ValidationError(f"fallback must be True or False, got {fallback!r}")
     if algo is Algorithm.VANILLA:
         return _rank_vanilla(task)
     if algo is Algorithm.DET_CONST_SORT:
@@ -277,5 +279,5 @@ def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
 
 
 def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
-    """Rank a task with the named algorithm."""
+    """Rank a task with the named algorithm; fallback must be True or False."""
     return _ranked(task, *_rank_columns(task, coerce_algorithm(algorithm), fallback))

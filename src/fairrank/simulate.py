@@ -140,7 +140,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     row in CSV order: infeasible_index, infeasible_count, min_skew,
     max_skew, ndkl and ndcg of measure(ranked, task.desired, ideal,
     task.k_max). Algorithms that raise a RankingError land in failures
-    (exception class name) instead of rows.
+    (exception class name) instead of rows. fallback must be True or False.
     """
     rankings: dict[Algorithm, tuple] = {}
     failures: dict[Algorithm, str] = {}

@@ -5,6 +5,7 @@ import pickle
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ class TestKlDivergence:
     def test_support_mismatch(self):
         with pytest.raises(fr.SupportMismatch):
             fr.kl_divergence([1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "p, q", [([[0.5, 0.5]], [[0.5, 0.5]]), ([0.5, 0.5], [[0.5, 0.5]]), (0.5, 0.5)],
+        ids=["both-2d", "one-2d", "scalars"],
+    )
+    def test_non_flat_distributions_name_their_shape(self, p, q):
+        # two (1, 2) inputs used to raise "supports differ: (1, 2) vs (1, 2)"
+        with pytest.raises(fr.ValidationError, match="flat") as info:
+            fr.kl_divergence(p, q)
+        assert not isinstance(info.value, fr.SupportMismatch)
+        assert str(np.shape(p)) in str(info.value)
 
     def test_zero_denominator(self):
         with pytest.raises(fr.ZeroDenominator):
@@ -689,4 +701,14 @@ class TestLogShareMemo:
             fr.measure(empty, zero)
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.max_skew_at_k(ranked, zero, 2)
-        assert fr.metrics._last[2:] == (None,) * 4
+        assert not {"counts", "floors", "logs", "violations"} & vars(fr.metrics._last).keys()
+
+    def test_keeps_at_most_one_pair_alive(self):
+        rng = np.random.default_rng(47)
+        ranked, desired = random_case(rng, 3, 30)
+        fr.measure(ranked, desired)
+        refs = weakref.ref(ranked), weakref.ref(desired)
+        del ranked, desired
+        fr.ndkl(*random_case(rng, 3, 30))
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

@@ -507,6 +507,19 @@ class TestRankedList:
         with pytest.raises(fr.ValidationError, match="score must be a number"):
             fr.RankedList.from_records([{"position": 1, "attribute": "a", "score": score}], ("a",))
 
+    @pytest.mark.parametrize(
+        "events", [-3, "x", True, 1.0, None], ids=["negative", "str", "bool", "float", "none"]
+    )
+    def test_malformed_fallback_events_rejected(self, events):
+        # -3 and "x" used to be stored as given
+        with pytest.raises(fr.ValidationError, match="fallback_events"):
+            fr.RankedList(("a",), np.array([0]), np.array([0.5]), fallback_events=events)
+
+    @pytest.mark.parametrize("events", [0, 7, np.int64(2), np.uint8(3)])
+    def test_integer_fallback_events_stored_as_int(self, events):
+        ranked = fr.RankedList(("a",), np.array([0]), np.array([0.5]), fallback_events=events)
+        assert type(ranked.fallback_events) is int and ranked.fallback_events == events
+
     @pytest.mark.parametrize("index", [-1, 2, 5])
     def test_out_of_range_attribute_index_rejected(self, index):
         # -1 used to count as the last label, 2 reached `measure` as a raw

@@ -382,6 +382,22 @@ class TestFallback:
         for algo in CONSTRAINED:
             assert fr.rank(balanced_task(), algo, fallback=True).fallback_events == 0
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None], ids=["str", "one", "zero", "none"])
+    def test_fallback_that_is_not_a_bool_rejected(self, flag):
+        # "no" used to turn fallback on, since the flag was read by truthiness
+        task = self.exhausting_task()
+        with pytest.raises(fr.ValidationError, match="fallback"):
+            fr.rank(task, "detgreedy", fallback=flag)
+        with pytest.raises(fr.ValidationError, match="fallback"):
+            fr.run_task(task, ["detgreedy"], fallback=flag)
+
+    def test_numpy_bool_fallback_accepted(self):
+        task = self.exhausting_task()
+        assert fr.rank(task, "detgreedy", fallback=np.bool_(True)).fallback_events == 2
+        assert fr.run_task(task, ["detgreedy"], fallback=np.False_).failures == {
+            fr.Algorithm.DET_GREEDY: "InsufficientCandidates"
+        }
+
 
 class TestDispatchAndDeterminism:
     def test_unknown_algorithm_rejected(self):
