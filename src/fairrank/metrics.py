@@ -23,9 +23,10 @@ ndcg uses gain = raw score and discount 1 / log2(position + 1); the ideal
 is the same-length prefix of descending-sorted scores. Negative gains are
 rejected, since they can put ndcg outside [0, 1], and so are NaN or
 infinite gains and an ideal score vector that is not sorted descending.
-measure and simulate.run_task share one core that measures a batch of
-lists of one length at once and returns one column per measure; measure is
-its batch of one and the only place a MetricsReport is built.
+measure and simulate.run_task share one core that reduces the tables of
+one list, or of a batch of lists of one length, to one column per
+measure; measure is its batch of one and the only place a MetricsReport is
+built.
 
 infeasible_index counts prefix lengths k where some attribute value sits
 below its floor quota floor(k * p_a); infeasible_count counts the individual
@@ -37,13 +38,15 @@ L[i - 1, a] = ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) over every prefix
 length i, with c_ia the count of attribute a in the top i: the skews at depth
 k are row k - 1, and NDKL's KL terms are (c_ia / i) * L[i - 1, a].
 
-A chain of metric calls on one (list, distribution) pair checks labels once,
-and builds each table it needs once: one memo entry, a _Pair, holds the last
-pair and its read-only prefix counts, floors, log-share matrix and
-floor-violation mask, each built on first use (measure leaves its own matrix
-and mask there). Both objects own read-only arrays and label tuples, so no
-result depends on what is kept, and every array a caller gets back is its own
-copy, never a view into a kept table.
+Every per-prefix table comes from one producer, a _Pair entry, which builds
+its prefix counts, floors, shares c_ia / i, log-share matrix and
+floor-violation mask, each on first use and read-only. One entry is the
+memo: it holds the last (list, distribution) pair, so a chain of metric
+calls on that pair, measure among them, checks labels once and builds each
+table it needs once. run_task builds its own entry for its batch from the
+rankings' counts and the task's floor table. Both objects own read-only
+arrays and label tuples, so no result depends on what is kept, and every
+array a caller gets back is its own copy, never a view into a kept table.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DistributionNotNormalized,
     KOutOfRange,
     LengthMismatch,
     SupportMismatch,
@@ -62,7 +66,14 @@ from .errors import (
     ZeroDenominator,
     ZeroDesiredProportion,
 )
-from .model import DesiredDistribution, RankedList, _as_float_array, _freeze, _is_int
+from .model import (
+    NORMALIZATION_TOL,
+    DesiredDistribution,
+    RankedList,
+    _as_float_array,
+    _freeze,
+    _is_int,
+)
 from .quota import floor_quotas, prefix_products
 
 SKEW_EPSILON = 1e-6
@@ -88,22 +99,20 @@ def prefix_counts(ranked: RankedList) -> np.ndarray:
     return _freeze(_cumulative(ranked.attributes, len(ranked.labels)))
 
 
-def _log_shares(cum: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shares c_ia / i and log-shares ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) of (..., n, A) counts.
-
-    Row k - 1 of the log-shares is every attribute's skew at depth k, and
-    shares * log-shares are NDKL's KL terms.
-    """
-    ks = np.arange(1.0, cum.shape[-2] + 1)[:, None]
-    shares = cum / ks
-    return shares, np.log(np.maximum(shares, SKEW_EPSILON / ks) / p)
+def _discount(n: int) -> np.ndarray:
+    """log2(i + 1) for positions i = 1..n: the discount of DCG and the inverse weight of NDKL."""
+    return np.log2(np.arange(2.0, n + 2))
 
 
 class _Pair:
-    """A (list, distribution) pair and its lazy read-only tables; row i covers the top i + 1."""
+    """A (list, distribution) pair and its lazy read-only tables; row i covers the top i + 1.
 
-    def __init__(self, ranked: RankedList | None, desired: DesiredDistribution | None):
+    run_task's batch entry has no list: it is given its (m, n, A) counts and (n, A) floors.
+    """
+
+    def __init__(self, ranked: RankedList | None, desired: DesiredDistribution | None, **tables):
         self.ranked, self.desired = ranked, desired
+        vars(self).update(tables)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -118,11 +127,15 @@ class _Pair:
         return bool(self.desired.proportions.min() > 0)
 
     @cached_property
+    def shares(self) -> np.ndarray:
+        return _freeze(self.counts / np.arange(1.0, self.counts.shape[-2] + 1)[:, None])
+
+    @cached_property
     def logs(self) -> np.ndarray:
         # a zero p_a is absent from any list ndkl takes; a stand-in of 1 makes its
         # terms 0 * finite instead of 0 * inf = NaN, and the skews refuse it first
-        p = self.desired.proportions
-        return _freeze(_log_shares(self.counts, np.where(p > 0, p, 1.0))[1])
+        p, ks = self.desired.proportions, np.arange(1.0, self.counts.shape[-2] + 1)[:, None]
+        return _freeze(np.log(np.maximum(self.shares, SKEW_EPSILON / ks) / np.where(p > 0, p, 1.0)))
 
     @cached_property
     def violations(self) -> np.ndarray:
@@ -193,8 +206,10 @@ def max_skew_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> f
 def kl_divergence(p, q) -> float:
     """d_KL(p || q) in nats for two categorical distributions on one support.
 
-    Terms with p_i = 0 contribute 0; q_i = 0 where p_i > 0 is undefined and
-    raises ZeroDenominator.
+    Each must be a non-empty vector summing to 1 within
+    model.NORMALIZATION_TOL (DistributionNotNormalized otherwise). Terms with
+    p_i = 0 contribute 0; q_i = 0 where p_i > 0 is undefined and raises
+    ZeroDenominator.
     """
     p = _as_float_array(p, "p")
     q = _as_float_array(q, "q")
@@ -204,21 +219,24 @@ def kl_divergence(p, q) -> float:
         raise SupportMismatch(f"supports differ: {p.shape} vs {q.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))) or np.any(p < 0) or np.any(q < 0):
         raise ValidationError("distributions must be finite and non-negative")
+    for name, v in (("p", p), ("q", q)):
+        if v.size == 0 or abs(float(v.sum()) - 1.0) > NORMALIZATION_TOL:
+            raise DistributionNotNormalized(f"{name} must be non-empty and sum to 1, got {v!r}")
     if np.any((p > 0) & (q == 0)):
         raise ZeroDenominator("q is zero where p has mass")
     positive = p > 0
     return float(np.sum(p[positive] * np.log(p[positive] / q[positive])))
 
 
-def _ndkl(shares: np.ndarray, logs: np.ndarray, discount) -> np.ndarray:
-    """NDKL of (..., n, num_attrs) prefix shares and their log-shares; discount = log2(ks + 1).
+def _ndkl(tables: _Pair, discount) -> np.ndarray:
+    """NDKL of each list of an entry, from its shares and log-shares; discount = _discount(n).
 
     An absent attribute's term is 0 * ln(SKEW_EPSILON / i / p_a), a zero, and
     every prefix holds a present attribute's term, which is never -0.0, so
     each prefix's sum is the sum of its present terms, bit for bit.
     """
     weights = 1.0 / discount
-    return ((shares * logs).sum(axis=-1) * weights).sum(axis=-1) / weights.sum()
+    return ((tables.shares * tables.logs).sum(axis=-1) * weights).sum(axis=-1) / weights.sum()
 
 
 def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
@@ -230,11 +248,9 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     entry = _pair(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
-    cum = entry.counts
-    if np.any((cum[-1] > 0) & (desired.proportions <= 0)):
+    if np.any((entry.counts[-1] > 0) & (desired.proportions <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
-    ks = np.arange(1.0, len(ranked) + 1)
-    return float(_ndkl(cum / ks[:, None], entry.logs, np.log2(ks + 1)))
+    return float(_ndkl(entry, _discount(len(ranked))))
 
 
 def _score_vector(values, what: str) -> np.ndarray:
@@ -245,32 +261,32 @@ def _score_vector(values, what: str) -> np.ndarray:
 
 
 def dcg(scores) -> float:
-    """Discounted cumulative gain with gain = raw score."""
+    """Discounted cumulative gain with gain = raw score; gains must be finite, may be negative."""
     s = _score_vector(scores, "scores")
-    if s.size == 0:
-        return 0.0
-    return float((s / np.log2(np.arange(2, s.size + 2))).sum())
+    if not np.isfinite(s).all():
+        raise ValidationError("dcg needs finite gains")
+    return float((s / _discount(s.size)).sum())
 
 
 def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
-    """ndcg of each row of s (m, n) against the first n ideal scores; discount[i] = log2(i + 2)."""
-    n = s.shape[1]
+    """ndcg of each row of s (..., n) against the first n ideal scores; discount = _discount(n)."""
+    n = s.shape[-1]
     ideal = _score_vector(ideal_scores, "ideal scores")
     if ideal.size < n:
         raise LengthMismatch(f"ideal has {ideal.size} scores, list has {n}")
     if not (ideal[:-1] >= ideal[1:]).all():
         raise ValidationError("ideal scores must be sorted non-increasing, with no NaN")
     if n == 0:
-        return np.ones(len(s))
+        return np.ones(s.shape[:-1])
     prefix = ideal[:n]
     # a sorted prefix has its min last and its max first; NaN fails every comparison
     if not (0 <= s.min() and 0 <= prefix[-1] and s.max() < np.inf and prefix[0] < np.inf):
         raise ValidationError("ndcg needs finite, non-negative gains in the list and ideal prefix")
-    num = (s / discount).sum(axis=1)
+    num = (s / discount).sum(axis=-1)
     den = (prefix / discount).sum()
     if den == 0.0 and num.any():
         raise ZeroDenominator("ideal DCG is zero but the list has positive gain")
-    return num / den if den else np.ones(len(s))
+    return num / den if den else np.ones(s.shape[:-1])
 
 
 def ndcg(ranked, ideal_scores) -> float:
@@ -284,8 +300,7 @@ def ndcg(ranked, ideal_scores) -> float:
     1). Violations raise ValidationError.
     """
     s = ranked.scores if isinstance(ranked, RankedList) else _score_vector(ranked, "scores")
-    discount = np.log2(np.arange(2, s.size + 2))
-    return float(_ndcg_rows(s.reshape(1, -1), ideal_scores, discount)[0])
+    return float(_ndcg_rows(s, ideal_scores, _discount(s.size)))
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
@@ -339,33 +354,31 @@ class MetricsReport:
         }
 
 
-def _columns(cum: np.ndarray, scores: np.ndarray, desired, k: int, ideal, floors):
-    """All measures of m lists of one length, taken together at depth k.
+def _columns(tables: _Pair, scores: np.ndarray, k: int, ideal):
+    """All measures of an entry's lists, which share one length n, taken together at depth k.
 
-    cum holds their (m, n, num_attrs) prefix counts, scores their (m, n)
-    scores, floors the (n, num_attrs) table floor(i * p_a) for prefix
-    lengths i = 1..n, and ideal is the one ideal score vector for all of
-    them. Returns the (m, n, num_attrs) log-share matrices and floor-violation
-    masks, and one (m,) column per scalar measure, in CSV order:
-    infeasible_index, infeasible_count, min_skew, max_skew, ndkl, ndcg.
-    Every reduction runs along the last axis in the single-list order, so a
-    list's values are bit-identical in a batch of one or of many.
+    tables is measure's memo entry for one list, with (n, num_attrs)
+    tables, or run_task's batch entry for m lists, with (m, n, num_attrs)
+    ones; scores are the lists' (n,) or (m, n) scores, and ideal is the one
+    ideal score vector for all of them. Returns one column per scalar
+    measure, of shape () or (m,), in CSV order: infeasible_index,
+    infeasible_count, min_skew, max_skew, ndkl, ndcg. Every reduction runs
+    along the last axes in the single-list order, so a list's values are
+    bit-identical in a batch of one or of many.
     """
-    p = desired.proportions
-    if p.min() <= 0:
+    if not tables.positive:
         raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
-    ks = np.arange(1.0, cum.shape[1] + 1)
-    discount = np.log2(ks + 1)
-    violations = cum < floors
-    shares, logs = _log_shares(cum, p)
-    skew = logs[:, k - 1]
-    return logs, violations, (
-        violations.any(axis=2).sum(axis=1),
-        violations.sum(axis=(1, 2)),
-        skew.min(axis=1, initial=0.0),
-        skew.max(axis=1, initial=0.0),
-        _ndkl(shares, logs, discount),
-        _ndcg_rows(scores[:, :k], ideal, discount[:k]),
+    # the mask before the log-shares: that order measured faster at length 1000
+    violations = tables.violations
+    skew = tables.logs[..., k - 1, :]
+    discount = _discount(violations.shape[-2])
+    return (
+        violations.any(axis=-1).sum(axis=-1),
+        violations.sum(axis=(-2, -1)),
+        skew.min(axis=-1, initial=0.0),
+        skew.max(axis=-1, initial=0.0),
+        _ndkl(tables, discount),
+        _ndcg_rows(scores[..., :k], ideal, discount[:k]),
     )
 
 
@@ -388,11 +401,8 @@ def measure(
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    cum, floors = entry.counts, entry.floors
-    logs, violations, columns = _columns(cum[None], ranked.scores[None], desired, k, ideal, floors)
-    # _columns refuses a zero proportion, so the pair is positive
-    entry.logs, entry.violations, entry.positive = _freeze(logs[0]), _freeze(violations[0]), True
-    index, count, low, high, div, gain = [column.item(0) for column in columns]
+    columns = _columns(entry, ranked.scores, k, ideal)
+    index, count, low, high, div, gain = [column.item() for column in columns]
     # a copy, so a kept report holds k's row and not the whole matrix
-    skew = logs[0, k - 1].copy()
+    skew = entry.logs[k - 1].copy()
     return MetricsReport(desired.labels, skew, low, high, div, gain, index, count, k)

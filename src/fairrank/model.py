@@ -50,14 +50,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _as_list(values, what: str) -> list:
-    """list(values), or ValidationError when values is a scalar, None or a string."""
+def _as_list(values, what: str, error=ValidationError) -> list:
+    """list(values), or error (a ValidationError) when values is a scalar, None or a string."""
     if not isinstance(values, (str, bytes)):
         try:
             return list(values)
         except TypeError:
             pass
-    raise ValidationError(f"{what} must be a list, got {values!r}")
+    raise error(f"{what} must be a list, got {values!r}")
 
 
 def _as_float_array(values, what: str) -> np.ndarray:

@@ -185,15 +185,6 @@ def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool)
     return out_attrs, out_scores, events
 
 
-def _ranked(task: RankingTask, attrs, scores, events: int = 0) -> RankedList:
-    return RankedList(
-        labels=task.desired.labels,
-        attributes=_freeze(np.asarray(attrs, dtype=np.int64)),
-        scores=_freeze(np.asarray(scores, dtype=np.float64)),
-        fallback_events=events,
-    )
-
-
 def _rank_vanilla(task: RankingTask):
     """Merge all pools by descending score; ties by attribute index, then pool order."""
     lengths = [len(s) for s in task.pool.scores]
@@ -280,4 +271,10 @@ def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
 
 def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
     """Rank a task with the named algorithm; fallback must be True or False."""
-    return _ranked(task, *_rank_columns(task, coerce_algorithm(algorithm), fallback))
+    attrs, scores, events = _rank_columns(task, coerce_algorithm(algorithm), fallback)
+    return RankedList(
+        labels=task.desired.labels,
+        attributes=_freeze(np.asarray(attrs, dtype=np.int64)),
+        scores=_freeze(np.asarray(scores, dtype=np.float64)),
+        fallback_events=events,
+    )

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
-from .metrics import _columns, _cumulative
-from .model import DesiredDistribution, RankingTask, ScoredPool, _freeze, _is_int
+from .metrics import _columns, _cumulative, _Pair
+from .model import DesiredDistribution, RankingTask, ScoredPool, _as_list, _freeze, _is_int
 from .rerank import _CANONICAL_ORDER, Algorithm, _rank_columns, coerce_algorithm
 
 CSV_HEADER = (
@@ -47,6 +47,12 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """InvalidConfig unless value is an integer (not a bool) >= least."""
+    if not _is_int(value) or value < least:
+        raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def attribute_labels(num_attr: int) -> tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(num_attr))
 
@@ -56,6 +62,7 @@ def gen_desired(num_attr: int, rng: np.random.Generator) -> DesiredDistribution:
 
     Proportions are strictly positive (zero draws are resampled).
     """
+    _check_count("num_attr", num_attr, 1)
     u = rng.random(num_attr)
     while not np.all(u > 0):
         u = rng.random(num_attr)
@@ -64,6 +71,8 @@ def gen_desired(num_attr: int, rng: np.random.Generator) -> DesiredDistribution:
 
 def gen_pool(num_attr: int, pool_size: int, rng: np.random.Generator) -> ScoredPool:
     """pool_size uniform (0, 1) scores per attribute value, sorted descending."""
+    _check_count("num_attr", num_attr, 1)
+    _check_count("pool_size", pool_size, 0)
     s = rng.random((num_attr, pool_size))
     while not np.all(s > 0):
         s = rng.random((num_attr, pool_size))
@@ -86,27 +95,18 @@ class SimulationConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("attr_min", "attr_max", "num_distributions", "replications", "pool_size",
-                     "k_max", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        if self.attr_min < 2 or self.attr_max < self.attr_min:
-            raise InvalidConfig(f"bad attribute range {self.attr_min}..{self.attr_max}")
-        for name in ("num_distributions", "replications", "pool_size", "k_max"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be non-negative")
+        # attr_max is compared with attr_min only once attr_min has passed
+        for name, least in (("attr_min", 2), ("attr_max", self.attr_min), ("num_distributions", 1),
+                            ("replications", 1), ("pool_size", 1), ("k_max", 1), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
         if self.attr_min * self.pool_size < self.k_max:
             raise InvalidConfig(
                 f"{self.attr_min} pools of {self.pool_size} cannot fill k_max={self.k_max}"
             )
-        if not self.algorithms:
+        algos = _as_list(self.algorithms, "algorithms", InvalidConfig)
+        if not algos:
             raise InvalidConfig("no algorithms selected")
-        algos = tuple(
-            sorted({coerce_algorithm(a) for a in self.algorithms}, key=_CANONICAL_ORDER.get)
-        )
+        algos = tuple(sorted({coerce_algorithm(a) for a in algos}, key=_CANONICAL_ORDER.get))
         object.__setattr__(self, "algorithms", algos)
 
 
@@ -140,11 +140,13 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     row in CSV order: infeasible_index, infeasible_count, min_skew,
     max_skew, ndkl and ndcg of measure(ranked, task.desired, ideal,
     task.k_max). Algorithms that raise a RankingError land in failures
-    (exception class name) instead of rows. fallback must be True or False.
+    (exception class name) instead of rows. algorithms must be a list of
+    names or Algorithms (ValidationError otherwise, also for one bare name),
+    and fallback must be True or False.
     """
     rankings: dict[Algorithm, tuple] = {}
     failures: dict[Algorithm, str] = {}
-    for algo in algorithms:
+    for algo in _as_list(algorithms, "algorithms"):
         algo = coerce_algorithm(algo)
         try:
             rankings[algo] = _rank_columns(task, algo, fallback)
@@ -154,9 +156,9 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
         return TaskOutcome({}, failures)
     attrs, scores, _ = zip(*rankings.values())
     cum = _cumulative(np.array(attrs, dtype=np.int64), len(task.desired))
+    tables = _Pair(None, task.desired, counts=cum, floors=task.table.floors[: task.k_max])
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-    scores, floors = np.array(scores, dtype=np.float64), task.table.floors[: task.k_max]
-    *_, columns = _columns(cum, scores, task.desired, task.k_max, ideal, floors)
+    columns = _columns(tables, np.array(scores, dtype=np.float64), task.k_max, ideal)
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 
 
@@ -177,8 +179,7 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
 
 def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
     """Evaluate the whole grid; rows come back sorted by (num_attr, algorithm)."""
-    if not _is_int(jobs) or jobs < 1:
-        raise InvalidConfig(f"jobs must be an integer >= 1, got {jobs!r}")
+    _check_count("jobs", jobs, 1)
     spans = [
         (num_attr, lo, min(lo + _CHUNK, config.num_distributions))
         for num_attr in range(config.attr_min, config.attr_max + 1)

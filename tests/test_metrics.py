@@ -151,6 +151,21 @@ class TestKlDivergence:
         with pytest.raises(fr.ZeroDenominator):
             fr.kl_divergence([0.5, 0.5], [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [([0.5, 0.5], [0.9, 0.9]), ([0.6, 0.6], [0.5, 0.5]), ([0.5, 0.5 + 1e-8], [0.5, 0.5]),
+         ([], [])],
+        ids=["q-over-1", "p-over-1", "p-off-by-1e-8", "empty"],
+    )
+    def test_unnormalized_or_empty_rejected(self, p, q):
+        # (0.5, 0.5) against (0.9, 0.9) used to give -0.588, against Gibbs'
+        # inequality, and two empty vectors 0.0
+        with pytest.raises(fr.DistributionNotNormalized):
+            fr.kl_divergence(p, q)
+
+    def test_normalized_within_tolerance_accepted(self):
+        assert fr.kl_divergence([0.5, 0.5 + 1e-10], [0.5, 0.5]) >= 0.0
+
     @given(
         st.integers(1, 6).flatmap(
             lambda n: st.tuples(
@@ -409,6 +424,21 @@ class TestFlatScoreVectors:
 
     def test_flat_dcg_value(self):
         assert fr.dcg([0.9, 0.8]) == pytest.approx(0.9 + 0.8 / math.log2(3))
+
+
+class TestDcgGains:
+    @pytest.mark.parametrize("gains", [[math.nan], [0.9, math.inf], [-math.inf]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_gains_rejected(self, gains):
+        # dcg([nan]) used to return nan
+        with pytest.raises(fr.ValidationError, match="finite"):
+            fr.dcg(gains)
+
+    def test_negative_gains_allowed(self):
+        assert fr.dcg([-1.0, 0.5]) == pytest.approx(-1.0 + 0.5 / math.log2(3))
+
+    def test_empty_is_zero(self):
+        assert fr.dcg([]) == 0.0
 
 
 class TestNonNumericInputs:
@@ -701,7 +731,11 @@ class TestLogShareMemo:
             fr.measure(empty, zero)
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.max_skew_at_k(ranked, zero, 2)
-        assert not {"counts", "floors", "logs", "violations"} & vars(fr.metrics._last).keys()
+        # measure used to build and keep the counts and floors before refusing
+        with pytest.raises(fr.ZeroDesiredProportion):
+            fr.measure(ranked, zero)
+        tables = {"counts", "floors", "shares", "logs", "violations"}
+        assert not tables & vars(fr.metrics._last).keys()
 
     def test_keeps_at_most_one_pair_alive(self):
         rng = np.random.default_rng(47)

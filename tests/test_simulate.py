@@ -36,10 +36,42 @@ class TestGenerators:
             assert np.all(scores > 0) and np.all(scores < 1)
             assert np.all(np.diff(scores) <= 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rng: fr.gen_desired(1.5, rng),
+            lambda rng: fr.gen_desired(0, rng),
+            lambda rng: fr.gen_desired(True, rng),
+            lambda rng: fr.gen_desired("3", rng),
+            lambda rng: fr.gen_pool(2, -1, rng),
+            lambda rng: fr.gen_pool(2, 2.0, rng),
+            lambda rng: fr.gen_pool(2, False, rng),
+            lambda rng: fr.gen_pool(0, 5, rng),
+            lambda rng: fr.gen_pool(None, 5, rng),
+        ],
+        ids=["desired-float", "desired-zero", "desired-bool", "desired-str", "pool-negative",
+             "pool-float", "pool-bool", "pool-no-attributes", "pool-none"],
+    )
+    def test_malformed_sizes_rejected(self, call):
+        # gen_desired(1.5, rng) used to raise numpy's TypeError, gen_pool(2, -1, rng) ValueError
+        with pytest.raises(fr.InvalidConfig):
+            call(spawn_rng(42, 2, 0))
+
+    def test_empty_pools_allowed(self):
+        pool = fr.gen_pool(2, np.int64(0), spawn_rng(42, 2, 0, 0))
+        assert pool.total() == 0 and len(pool.scores) == 2
+
     def test_pool_reproducible(self):
         a = fr.gen_pool(3, 10, spawn_rng(1, 3, 2, 0))
         b = fr.gen_pool(3, 10, spawn_rng(1, 3, 2, 0))
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.scores, b.scores))
+
+
+# algorithms values that are not a list of names or Algorithms
+NOT_A_LIST = pytest.mark.parametrize(
+    "algorithms", ["vanilla", fr.Algorithm.VANILLA, None, 3],
+    ids=["bare-name", "bare-algorithm", "none", "int"],
+)
 
 
 class TestRunTask:
@@ -89,6 +121,12 @@ class TestRunTask:
             assert row.tolist() == self.measured_row(starved, algo)
         assert outcome.failures == {fr.Algorithm.DET_CONS: "InsufficientCandidates"}
 
+    @NOT_A_LIST
+    def test_algorithms_must_be_a_list(self, algorithms):
+        # "vanilla" used to fail as "unknown algorithm 'v'", None and 3 as a bare TypeError
+        with pytest.raises(fr.ValidationError, match="algorithms must be a list"):
+            fr.run_task(self.task(), algorithms)
+
 
 class TestConfig:
     def test_defaults_are_canonical(self):
@@ -117,6 +155,11 @@ class TestConfig:
             fr.SimulationConfig(algorithms=())
         with pytest.raises(fr.UnknownAlgorithm):
             fr.SimulationConfig(algorithms=("bogosort",))
+
+    @NOT_A_LIST
+    def test_algorithms_must_be_a_list(self, algorithms):
+        with pytest.raises(fr.InvalidConfig, match="algorithms must be a list"):
+            fr.SimulationConfig(algorithms=algorithms)
 
     @pytest.mark.parametrize(
         "field, value",
