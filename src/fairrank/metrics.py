@@ -34,25 +34,27 @@ below its floor quota floor(k * p_a); infeasible_count counts the individual
 checks agree with the re-ranking algorithms.
 
 Every skew and NDKL reads one log-share matrix per list,
-L[i - 1, a] = ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) over every prefix
+L[a, i - 1] = ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) over every prefix
 length i, with c_ia the count of attribute a in the top i: the skews at depth
-k are row k - 1, and NDKL's KL terms are (c_ia / i) * L[i - 1, a].
+k are column k - 1, and NDKL's KL terms are (c_ia / i) * L[a, i - 1].
 
 Every per-prefix table comes from one producer, a _Pair entry, which builds
 its prefix counts, floors, shares c_ia / i, log-share matrix and
-floor-violation mask, each on first use and read-only. One entry is the
-memo: it holds the last (list, distribution) pair, so a chain of metric
-calls on that pair, measure among them, checks labels once and builds each
-table it needs once. run_task builds its own entry for its batch from the
-rankings' counts and the task's floor table. Both objects own read-only
-arrays and label tuples, so no result depends on what is kept, and every
-array a caller gets back is its own copy, never a view into a kept table.
+floor-violation mask, each on first use and read-only. The tables are
+attribute-major, (num_attrs, n) with column i - 1 covering the top i, so
+every per-prefix op and every sum over attributes runs along the long
+prefix axis. One entry is the memo: it holds the last (list, distribution)
+pair, so a chain of metric calls on that pair, measure among them, checks
+labels once and builds each table it needs once. run_task builds its own
+entry for its batch from the rankings' counts and the task's floor table.
+Both objects own read-only arrays and label tuples, so no result depends on
+what is kept, and every array a caller gets back is its own copy, never a
+view into a kept table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +76,7 @@ from .model import (
     _freeze,
     _is_int,
 )
-from .quota import floor_quotas, prefix_products
+from .quota import floor_quotas
 
 SKEW_EPSILON = 1e-6
 
@@ -88,15 +90,17 @@ def _check_depth(k, n: int) -> int:
 
 
 def _cumulative(attrs: np.ndarray, num_attrs: int) -> np.ndarray:
-    """(..., n, num_attrs) int64 prefix counts along the last axis of (..., n) attribute indices."""
-    onehot = np.zeros(attrs.shape + (num_attrs,), dtype=np.int64)
-    onehot.reshape(attrs.size, num_attrs)[np.arange(attrs.size), attrs.ravel()] = 1
-    return onehot.cumsum(axis=-2)
+    """(..., num_attrs, n) int64 prefix counts of (..., n) attribute indices.
+
+    Column i covers the top i + 1.
+    """
+    onehot = attrs[..., None, :] == np.arange(num_attrs)[:, None]
+    return onehot.cumsum(axis=-1, dtype=np.int64)
 
 
 def prefix_counts(ranked: RankedList) -> np.ndarray:
     """Read-only (n, num_attrs) cumulative attribute counts; row i covers the top i+1."""
-    return _freeze(_cumulative(ranked.attributes, len(ranked.labels)))
+    return _freeze(_cumulative(ranked.attributes, len(ranked.labels))).T
 
 
 def _discount(n: int) -> np.ndarray:
@@ -104,40 +108,71 @@ def _discount(n: int) -> np.ndarray:
     return np.log2(np.arange(2.0, n + 2))
 
 
-class _Pair:
-    """A (list, distribution) pair and its lazy read-only tables; row i covers the top i + 1.
+class _lazy:
+    """A table built on its first read and kept in the instance dict, so later reads skip it.
 
-    run_task's batch entry has no list: it is given its (m, n, A) counts and (n, A) floors.
+    functools.cached_property does the same, but before Python 3.12 it takes
+    a lock on every first read. A racing thread may build a table twice; both
+    builds are equal, so which one is kept does not matter.
+    """
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            return self
+        value = vars(entry)[self.name] = self.build(entry)
+        return value
+
+
+class _Pair:
+    """A (list, distribution) pair and its lazy read-only tables.
+
+    Every table is attribute-major, (..., num_attrs, n), and column i covers
+    the top i + 1. run_task's batch entry has no list: it is given its
+    (m, num_attrs, n) counts and (num_attrs, n) floors, and keyword tables
+    win over the lazy ones.
     """
 
     def __init__(self, ranked: RankedList | None, desired: DesiredDistribution | None, **tables):
         self.ranked, self.desired = ranked, desired
         vars(self).update(tables)
 
-    @cached_property
+    @_lazy
     def counts(self) -> np.ndarray:
-        return prefix_counts(self.ranked)
+        return _freeze(_cumulative(self.ranked.attributes, len(self.ranked.labels)))
 
-    @cached_property
+    @_lazy
+    def positions(self) -> np.ndarray:
+        """The prefix lengths 1.0..n."""
+        return np.arange(1.0, self.counts.shape[-1] + 1)
+
+    @_lazy
     def floors(self) -> np.ndarray:
-        return _freeze(floor_quotas(prefix_products(self.desired.proportions, len(self.ranked))))
+        # p_a * k is k * p_a bit for bit, so these are the quota module's floors
+        return _freeze(floor_quotas(self.desired.proportions[:, None] * self.positions))
 
-    @cached_property
+    @_lazy
     def positive(self) -> bool:
         return bool(self.desired.proportions.min() > 0)
 
-    @cached_property
+    @_lazy
     def shares(self) -> np.ndarray:
-        return _freeze(self.counts / np.arange(1.0, self.counts.shape[-2] + 1)[:, None])
+        return _freeze(self.counts / self.positions)
 
-    @cached_property
+    @_lazy
     def logs(self) -> np.ndarray:
-        # a zero p_a is absent from any list ndkl takes; a stand-in of 1 makes its
-        # terms 0 * finite instead of 0 * inf = NaN, and the skews refuse it first
-        p, ks = self.desired.proportions, np.arange(1.0, self.counts.shape[-2] + 1)[:, None]
-        return _freeze(np.log(np.maximum(self.shares, SKEW_EPSILON / ks) / np.where(p > 0, p, 1.0)))
+        p = self.desired.proportions
+        if not self.positive:
+            # a zero p_a is absent from any list ndkl takes; a stand-in of 1 makes its
+            # terms 0 * finite instead of 0 * inf = NaN, and the skews refuse it first
+            p = np.where(p > 0, p, 1.0)
+        out = np.maximum(self.shares, SKEW_EPSILON / self.positions)
+        out /= p[:, None]
+        return _freeze(np.log(out, out=out))
 
-    @cached_property
+    @_lazy
     def violations(self) -> np.ndarray:
         return _freeze(self.counts < self.floors)
 
@@ -168,12 +203,12 @@ def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
 
 
 def _skew_row(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
-    """Every attribute's skew at depth k: row k - 1 of the pair's log-share matrix."""
+    """Every attribute's skew at depth k: column k - 1 of the pair's log-share matrix."""
     entry = _pair(ranked, desired)
     k = _check_depth(k, len(ranked))
     if not entry.positive:
         raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
-    return entry.logs[k - 1]
+    return entry.logs[:, k - 1]
 
 
 def skews_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
@@ -233,10 +268,12 @@ def _ndkl(tables: _Pair, discount) -> np.ndarray:
 
     An absent attribute's term is 0 * ln(SKEW_EPSILON / i / p_a), a zero, and
     every prefix holds a present attribute's term, which is never -0.0, so
-    each prefix's sum is the sum of its present terms, bit for bit.
+    each prefix's sum is the sum of its present terms, bit for bit. The
+    sum runs down the attribute axis one term at a time, in the same order
+    for one list or a batch.
     """
     weights = 1.0 / discount
-    return ((tables.shares * tables.logs).sum(axis=-1) * weights).sum(axis=-1) / weights.sum()
+    return ((tables.shares * tables.logs).sum(axis=-2) * weights).sum(axis=-1) / weights.sum()
 
 
 def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
@@ -248,7 +285,7 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     entry = _pair(ranked, desired)
     if len(ranked) == 0:
         raise ValidationError("ndkl of an empty list is undefined")
-    if np.any((entry.counts[-1] > 0) & (desired.proportions <= 0)):
+    if np.any((entry.counts[:, -1] > 0) & (desired.proportions <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
     return float(_ndkl(entry, _discount(len(ranked))))
 
@@ -268,8 +305,14 @@ def dcg(scores) -> float:
     return float((s / _discount(s.size)).sum())
 
 
+_NDCG_GAINS = "ndcg needs finite, non-negative gains in the list and ideal prefix"
+
+
 def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
-    """ndcg of each row of s (..., n) against the first n ideal scores; discount = _discount(n)."""
+    """ndcg of each row of s (..., n) against the first n ideal scores; discount = _discount(n).
+
+    The rows must be finite, as a RankedList's or a checked task's scores are.
+    """
     n = s.shape[-1]
     ideal = _score_vector(ideal_scores, "ideal scores")
     if ideal.size < n:
@@ -279,9 +322,9 @@ def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
     if n == 0:
         return np.ones(s.shape[:-1])
     prefix = ideal[:n]
-    # a sorted prefix has its min last and its max first; NaN fails every comparison
-    if not (0 <= s.min() and 0 <= prefix[-1] and s.max() < np.inf and prefix[0] < np.inf):
-        raise ValidationError("ndcg needs finite, non-negative gains in the list and ideal prefix")
+    # s is finite; a sorted prefix has its min last and its max first; NaN fails every comparison
+    if not (0 <= s.min() and 0 <= prefix[-1] and prefix[0] < np.inf):
+        raise ValidationError(_NDCG_GAINS)
     num = (s / discount).sum(axis=-1)
     den = (prefix / discount).sum()
     if den == 0.0 and num.any():
@@ -299,13 +342,18 @@ def ndcg(ranked, ideal_scores) -> float:
     and non-negative (a negative gain can push the ratio below 0 or above
     1). Violations raise ValidationError.
     """
-    s = ranked.scores if isinstance(ranked, RankedList) else _score_vector(ranked, "scores")
+    if isinstance(ranked, RankedList):
+        s = ranked.scores
+    else:
+        s = _score_vector(ranked, "scores")
+        if not np.isfinite(s).all():
+            raise ValidationError(_NDCG_GAINS)
     return float(_ndcg_rows(s, ideal_scores, _discount(s.size)))
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
-    return np.flatnonzero(_pair(ranked, desired).violations.any(axis=1)) + 1
+    return np.flatnonzero(_pair(ranked, desired).violations.any(axis=0)) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -357,23 +405,23 @@ class MetricsReport:
 def _columns(tables: _Pair, scores: np.ndarray, k: int, ideal):
     """All measures of an entry's lists, which share one length n, taken together at depth k.
 
-    tables is measure's memo entry for one list, with (n, num_attrs)
-    tables, or run_task's batch entry for m lists, with (m, n, num_attrs)
+    tables is measure's memo entry for one list, with (num_attrs, n)
+    tables, or run_task's batch entry for m lists, with (m, num_attrs, n)
     ones; scores are the lists' (n,) or (m, n) scores, and ideal is the one
     ideal score vector for all of them. Returns one column per scalar
     measure, of shape () or (m,), in CSV order: infeasible_index,
     infeasible_count, min_skew, max_skew, ndkl, ndcg. Every reduction runs
-    along the last axes in the single-list order, so a list's values are
+    over a list's own axes in the single-list order, so a list's values are
     bit-identical in a batch of one or of many.
     """
     if not tables.positive:
         raise ZeroDesiredProportion("measure requires strictly positive desired proportions")
     # the mask before the log-shares: that order measured faster at length 1000
     violations = tables.violations
-    skew = tables.logs[..., k - 1, :]
-    discount = _discount(violations.shape[-2])
+    skew = tables.logs[..., k - 1]
+    discount = _discount(violations.shape[-1])
     return (
-        violations.any(axis=-1).sum(axis=-1),
+        violations.any(axis=-2).sum(axis=-1),
         violations.sum(axis=(-2, -1)),
         skew.min(axis=-1, initial=0.0),
         skew.max(axis=-1, initial=0.0),
@@ -403,6 +451,6 @@ def measure(
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
     columns = _columns(entry, ranked.scores, k, ideal)
     index, count, low, high, div, gain = [column.item() for column in columns]
-    # a copy, so a kept report holds k's row and not the whole matrix
-    skew = entry.logs[k - 1].copy()
+    # a copy, so a kept report holds k's column and not the whole matrix
+    skew = entry.logs[:, k - 1].copy()
     return MetricsReport(desired.labels, skew, low, high, div, gain, index, count, k)

@@ -7,10 +7,13 @@ evaluates to 62.99999999999999 and a raw floor yields 62 instead of 63,
 while 77 * (9/11) evaluates to 63.00000000000001 and a raw ceil yields 64.
 Values within SNAP_TOL of an integer are snapped to it before rounding.
 
-Quotas round in one place: every (prefix length, attribute) table rounds
-prefix_products through these helpers, both the per-task table the
-re-rankers share (model.RankingTask.table) and the floors the metrics take
-of any list, so the algorithms and the metrics agree on every quota.
+Quotas round in one place: every table of k * p_a goes through these
+helpers, both the per-task table the re-rankers share
+(model.RankingTask.table), which rounds prefix_products, and the floors the
+metrics take of any list. The metrics form their attribute-major products
+p_a * k from a row of prefix lengths, the same bits as prefix_products
+since multiplication commutes, and floor_quotas still does all the
+rounding, so the algorithms and the metrics agree on every quota.
 """
 
 import numpy as np

@@ -156,7 +156,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
         return TaskOutcome({}, failures)
     attrs, scores, _ = zip(*rankings.values())
     cum = _cumulative(np.array(attrs, dtype=np.int64), len(task.desired))
-    tables = _Pair(None, task.desired, counts=cum, floors=task.table.floors[: task.k_max])
+    tables = _Pair(None, task.desired, counts=cum, floors=task.table.floors[: task.k_max].T)
     ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
     columns = _columns(tables, np.array(scores, dtype=np.float64), task.k_max, ideal)
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairrank as fr
-from conftest import make_ranked, make_task, ref_floor
+from conftest import make_ranked, make_task, random_task, ref_floor, spawn_rng
 
 HALF = fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5})
 
@@ -222,6 +222,21 @@ class TestNdkl:
         assert value == pytest.approx(
             naive_ndkl([labels[i] for i in seq], desired), abs=1e-9
         )
+
+    @pytest.mark.parametrize("n_attr", [8, 9, 10])
+    def test_many_attributes_agree_across_callers(self, n_attr):
+        # from 8 attributes on, a prefix's sum of KL terms depends on the order numpy
+        # adds them in; it stays within rounding of the naive loop, and every caller
+        # of the metrics core gets the same bits
+        task = random_task(spawn_rng(53, n_attr), n_attr)
+        rows = fr.run_task(task, list(fr.Algorithm)).rows
+        for algo, row in rows.items():
+            ranked = fr.rank(task, algo)
+            value = fr.ndkl(ranked, task.desired)
+            seq = [task.desired.labels[a] for a in ranked.attributes]
+            assert value == pytest.approx(naive_ndkl(seq, task.desired), rel=1e-12)
+            assert bits(fr.measure(*copies(ranked, task.desired), k=task.k_max).ndkl) == bits(value)
+            assert bits(float(row[4])) == bits(value)
 
 
 class TestNdcg:
@@ -514,6 +529,15 @@ def brute_infeasible_count(seq, p):
 class TestTableSlots:
     """The metrics keep the prefix counts and floors of the last (list, distribution) pair."""
 
+    @pytest.mark.parametrize("length", [0, 1, 1000])
+    def test_prefix_counts_row_i_covers_the_top_i_plus_one(self, length):
+        ranked, _ = random_case(np.random.default_rng(61), 3, length)
+        counts = fr.prefix_counts(ranked)
+        assert counts.shape == (length, 3) and counts.dtype == np.int64
+        seq = ranked.attributes
+        want = [np.bincount(seq[: i + 1], minlength=3).tolist() for i in range(length)]
+        assert counts.tolist() == want
+
     def test_tables_are_read_only(self):
         task = make_task({"a": 0.3, "b": 0.7}, {"a": [0.9, 0.5], "b": [0.8, 0.7]}, 3)
         ranked = fr.rank(task, "detgreedy")
@@ -686,11 +710,21 @@ class TestLogShareMemo:
         report = fr.measure(ranked, desired)
         skews = fr.skews_at_k(ranked, desired, 50)
         for array in (report.skew, skews):
-            assert array.base is None and array.flags.owndata and array.shape == (4,)
+            assert array.base is None and array.flags.owndata and array.flags.c_contiguous
+            assert array.shape == (4,)
             array[:] = 99.0
         assert bits(fr.skews_at_k(ranked, desired, 50)) == bits(want)
         assert bits(fr.measure(ranked, desired).skew) == bits(want)
         assert fr.max_skew_at_k(ranked, desired, 50) == max(float(want.max()), 0.0)
+
+    def test_measure_keeps_attribute_major_tables(self):
+        ranked, desired = random_case(np.random.default_rng(59), 4, 30)
+        fr.measure(ranked, desired)
+        kept = vars(fr.metrics._last)
+        for name in ("logs", "shares", "violations"):
+            table = kept[name]
+            assert table.shape == (4, 30), name
+            assert table.flags.c_contiguous and not table.flags.writeable, name
 
     def test_ndkl_accepts_a_zero_proportion_the_list_never_shows(self):
         ranked = make_ranked("abab", ("a", "b", "c"))
