@@ -50,10 +50,18 @@ entry for its batch from the rankings' counts and the task's floor table.
 Both objects own read-only arrays and label tuples, so no result depends on
 what is kept, and every array a caller gets back is its own copy, never a
 view into a kept table.
+
+The rows that depend only on the prefix length i are kept once per process:
+i itself, the skew clamp SKEW_EPSILON / i, the discount log2(i + 1) of DCG
+and NDKL's weight 1 / log2(i + 1). They are one read-only set that grows
+on demand, replaced whole by a single rebind, and each call slices its
+first n entries, which are bit for bit the rows built for length n. An
+entry, dcg and ndcg read these views, so no call builds them again.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +111,32 @@ def prefix_counts(ranked: RankedList) -> np.ndarray:
     return _freeze(_cumulative(ranked.attributes, len(ranked.labels))).T
 
 
-def _discount(n: int) -> np.ndarray:
-    """log2(i + 1) for positions i = 1..n: the discount of DCG and the inverse weight of NDKL."""
-    return np.log2(np.arange(2.0, n + 2))
+# rows over prefix lengths i = 1..n: i, the skew clamp SKEW_EPSILON / i, the DCG
+# discount log2(i + 1) and the NDKL weight 1 / log2(i + 1)
+_Rows = namedtuple("_Rows", "positions clamps discount weights")
+
+_rows = _Rows(*(_freeze(np.empty(0)) for _ in _Rows._fields))
+
+
+def _prefix_rows(n: int) -> _Rows:
+    """The kept prefix-length rows, as read-only views of their first n entries.
+
+    Every entry is computed on its own, so the first n entries of a longer
+    row are those of a row built for n. The rows grow to at least twice
+    their length, and a longer set replaces the kept one in a single rebind,
+    so every call slices one consistent set, whatever another thread does.
+    Two threads growing at once may each build a set and the shorter one may
+    be kept; that costs a rebuild, never a result.
+    """
+    global _rows
+    rows = _rows
+    if rows.positions.size < n:
+        positions = np.arange(1.0, max(n, 2 * rows.positions.size) + 1)
+        discount = np.log2(positions + 1)
+        rows = _rows = _Rows(
+            *map(_freeze, (positions, SKEW_EPSILON / positions, discount, 1.0 / discount))
+        )
+    return _Rows(rows.positions[:n], rows.clamps[:n], rows.discount[:n], rows.weights[:n])
 
 
 class _lazy:
@@ -144,14 +175,14 @@ class _Pair:
         return _freeze(_cumulative(self.ranked.attributes, len(self.ranked.labels)))
 
     @_lazy
-    def positions(self) -> np.ndarray:
-        """The prefix lengths 1.0..n."""
-        return np.arange(1.0, self.counts.shape[-1] + 1)
+    def rows(self) -> _Rows:
+        """The kept prefix-length rows over this entry's length n."""
+        return _prefix_rows(self.counts.shape[-1])
 
     @_lazy
     def floors(self) -> np.ndarray:
         # p_a * k is k * p_a bit for bit, so these are the quota module's floors
-        return _freeze(floor_quotas(self.desired.proportions[:, None] * self.positions))
+        return _freeze(floor_quotas(self.desired.proportions[:, None] * self.rows.positions))
 
     @_lazy
     def positive(self) -> bool:
@@ -159,7 +190,7 @@ class _Pair:
 
     @_lazy
     def shares(self) -> np.ndarray:
-        return _freeze(self.counts / self.positions)
+        return _freeze(self.counts / self.rows.positions)
 
     @_lazy
     def logs(self) -> np.ndarray:
@@ -168,7 +199,7 @@ class _Pair:
             # a zero p_a is absent from any list ndkl takes; a stand-in of 1 makes its
             # terms 0 * finite instead of 0 * inf = NaN, and the skews refuse it first
             p = np.where(p > 0, p, 1.0)
-        out = np.maximum(self.shares, SKEW_EPSILON / self.positions)
+        out = np.maximum(self.shares, self.rows.clamps)
         out /= p[:, None]
         return _freeze(np.log(out, out=out))
 
@@ -263,8 +294,8 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p[positive] * np.log(p[positive] / q[positive])))
 
 
-def _ndkl(tables: _Pair, discount) -> np.ndarray:
-    """NDKL of each list of an entry, from its shares and log-shares; discount = _discount(n).
+def _ndkl(tables: _Pair) -> np.ndarray:
+    """NDKL of each list of an entry, from its shares, log-shares and prefix-length rows.
 
     An absent attribute's term is 0 * ln(SKEW_EPSILON / i / p_a), a zero, and
     every prefix holds a present attribute's term, which is never -0.0, so
@@ -272,7 +303,7 @@ def _ndkl(tables: _Pair, discount) -> np.ndarray:
     sum runs down the attribute axis one term at a time, in the same order
     for one list or a batch.
     """
-    weights = 1.0 / discount
+    weights = tables.rows.weights
     return ((tables.shares * tables.logs).sum(axis=-2) * weights).sum(axis=-1) / weights.sum()
 
 
@@ -287,7 +318,7 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
         raise ValidationError("ndkl of an empty list is undefined")
     if np.any((entry.counts[:, -1] > 0) & (desired.proportions <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
-    return float(_ndkl(entry, _discount(len(ranked))))
+    return float(_ndkl(entry))
 
 
 def _score_vector(values, what: str) -> np.ndarray:
@@ -302,14 +333,14 @@ def dcg(scores) -> float:
     s = _score_vector(scores, "scores")
     if not np.isfinite(s).all():
         raise ValidationError("dcg needs finite gains")
-    return float((s / _discount(s.size)).sum())
+    return float((s / _prefix_rows(s.size).discount).sum())
 
 
 _NDCG_GAINS = "ndcg needs finite, non-negative gains in the list and ideal prefix"
 
 
 def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
-    """ndcg of each row of s (..., n) against the first n ideal scores; discount = _discount(n).
+    """ndcg of each row of s (..., n) against the first n ideal scores, under n discounts.
 
     The rows must be finite, as a RankedList's or a checked task's scores are.
     """
@@ -348,7 +379,7 @@ def ndcg(ranked, ideal_scores) -> float:
         s = _score_vector(ranked, "scores")
         if not np.isfinite(s).all():
             raise ValidationError(_NDCG_GAINS)
-    return float(_ndcg_rows(s, ideal_scores, _discount(s.size)))
+    return float(_ndcg_rows(s, ideal_scores, _prefix_rows(s.size).discount))
 
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
@@ -419,14 +450,13 @@ def _columns(tables: _Pair, scores: np.ndarray, k: int, ideal):
     # the mask before the log-shares: that order measured faster at length 1000
     violations = tables.violations
     skew = tables.logs[..., k - 1]
-    discount = _discount(violations.shape[-1])
     return (
         violations.any(axis=-2).sum(axis=-1),
         violations.sum(axis=(-2, -1)),
         skew.min(axis=-1, initial=0.0),
         skew.max(axis=-1, initial=0.0),
-        _ndkl(tables, discount),
-        _ndcg_rows(scores[..., :k], ideal, discount[:k]),
+        _ndkl(tables),
+        _ndcg_rows(scores[..., :k], ideal, tables.rows.discount[:k]),
     )
 
 

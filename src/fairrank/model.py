@@ -238,7 +238,9 @@ class RankingTask:
         """
         products = prefix_products(self.desired.proportions, self.k_max + len(self.desired) + 2)
         floors, ceils = _freeze(floor_quotas(products)), _freeze(ceil_quotas(products))
-        pools = [s.tolist() + [-np.inf] for s in self.pool.scores]
+        pools = [s.tolist() for s in self.pool.scores]
+        for pool in pools:
+            pool.append(-np.inf)
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
 

@@ -207,10 +207,10 @@ def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
 
 
 def write_csv(rows, path) -> None:
-    """Serialize aggregate rows (sorted, floats at 6 decimal places)."""
-    if not rows:
-        raise EmptyResult("no aggregate rows to write")
+    """Serialize aggregate rows (sorted, floats at 6 decimal places); rows may be any iterable."""
     ordered = sorted(rows, key=lambda r: (r.num_attr, _CANONICAL_ORDER[r.algorithm]))
+    if not ordered:
+        raise EmptyResult("no aggregate rows to write")
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in ordered:

@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fairrank import rank, task_from_dict
-from fairrank.cli import build_parser, main
+from fairrank import RankedList, rank, task_from_dict
+from fairrank.cli import _ranked_json, build_parser, main
 
 FOUR_GROUP_TASK = {
     "k": 4,
@@ -183,6 +184,41 @@ class TestRecords:
             for i, a, s in PINNED_ROWS
         )
         assert out.read_text() == "[\n" + rows + "\n]\n"
+
+
+# labels that json escapes, and scores at the edges of float repr
+ODD_LABELS = ('quo"te', "back\\slash", "caf\u00e9 \u2713 \u65e5\u672c", "bell\x07\ttab")
+ODD_POOLS = [[1e16, 5e-324], [1.0, 0.0], [0.1], [1e-300]]
+
+
+def dumped(ranked):
+    return json.dumps(ranked.to_records(), indent=2) + "\n"
+
+
+class TestRankedJsonWriter:
+    """fairrank rerank writes the bytes of json.dumps(records, indent=2) without calling it."""
+
+    def test_writer_matches_json_dumps(self):
+        scores = sorted(sum(ODD_POOLS, []), reverse=True)
+        attrs = [0, 1, 2, 3, 1, 0]
+        for labels in (ODD_LABELS, ("a", "b", "c", "d")):
+            ranked = RankedList(labels, np.array(attrs), np.array(scores))
+            assert _ranked_json(ranked) == dumped(ranked)
+        empty = RankedList(("a",), np.array([], dtype=np.int64), np.array([]))
+        assert _ranked_json(empty) == dumped(empty) == "[]\n"
+
+    @pytest.mark.parametrize("algorithm", ["vanilla", "detconstsort"])
+    def test_cli_output_matches_json_dumps(self, tmp_path, algorithm):
+        task = {
+            "k": 6,
+            "desired": {label: 0.25 for label in ODD_LABELS},
+            "pools": dict(zip(ODD_LABELS, ODD_POOLS)),
+        }
+        path = write_json(tmp_path / "task.json", task)
+        out = tmp_path / "out.json"
+        args = ["rerank", "--input", path, "--algorithm", algorithm, "--output", str(out)]
+        assert main(args) == 0
+        assert out.read_text() == dumped(rank(task_from_dict(task), algorithm))
 
 
 class TestMeasureCommand:

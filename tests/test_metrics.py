@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import subprocess
 import sys
 import threading
 import time
@@ -780,3 +781,105 @@ class TestLogShareMemo:
         fr.ndkl(*random_case(rng, 3, 30))
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+# prints the exact bits of every metric of each (seed, length) case, measured in the given order
+_ROWS_SCRIPT = """
+import sys
+import numpy as np
+import fairrank as fr
+for seed, length in [tuple(map(int, case.split(":"))) for case in sys.argv[1:]]:
+    rng = np.random.default_rng(seed)
+    w = rng.random(4) + 0.05
+    desired = fr.DesiredDistribution(("a", "b", "c", "d"), w / w.sum())
+    ranked = fr.RankedList(desired.labels, rng.integers(0, 4, length),
+                           np.sort(rng.random(length))[::-1])
+    ideal = np.concatenate([ranked.scores + 0.5, [0.0]])
+    report = fr.measure(ranked, desired, ideal_scores=ideal)
+    values = [report.min_skew, report.max_skew, report.ndkl, report.ndcg,
+              fr.ndkl(ranked, desired), fr.dcg(ranked.scores), fr.ndcg(ranked, ideal)]
+    print(seed, length, report.skew.tobytes().hex(), *(float(v).hex() for v in values),
+          report.infeasible_index, report.infeasible_count)
+"""
+
+
+class TestPrefixRows:
+    """Rows that depend only on prefix length are kept once per process and never handed out."""
+
+    def kept_rows(self):
+        return tuple(fr.metrics._rows)
+
+    def test_rows_are_read_only(self):
+        fr.measure(*random_case(np.random.default_rng(71), 3, 700))
+        kept = self.kept_rows()
+        assert kept[0].size >= 700
+        for row in kept + tuple(fr.metrics._prefix_rows(5)):
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 9.0
+
+    def test_rows_match_rows_built_for_each_length(self):
+        fr.measure(*random_case(np.random.default_rng(73), 2, 1000))
+        for n in (0, 1, 7, 128, 999, 1000):
+            positions, clamps, discount, weights = fr.metrics._prefix_rows(n)
+            fresh = np.arange(1.0, n + 1)
+            assert bits(positions) == bits(fresh)
+            assert bits(clamps) == bits(fr.metrics.SKEW_EPSILON / fresh)
+            assert bits(discount) == bits(np.log2(np.arange(2.0, n + 2)))
+            assert bits(weights) == bits(1.0 / np.log2(np.arange(2.0, n + 2)))
+
+    def test_returned_arrays_share_no_memory_with_a_kept_row(self):
+        ranked, desired = random_case(np.random.default_rng(79), 4, 300)
+        report = fr.measure(ranked, desired)
+        returned = [report.skew, fr.prefix_counts(ranked)]
+        returned += [fr.skews_at_k(ranked, desired, k) for k in (1, 150, 300)]
+        for row in self.kept_rows():
+            for array in returned:
+                assert not np.shares_memory(array, row)
+
+    def test_order_of_lengths_gives_the_bits_of_a_fresh_interpreter(self):
+        def run(*cases):
+            result = subprocess.run([sys.executable, "-c", _ROWS_SCRIPT, *cases],
+                                    capture_output=True, text=True, check=True)
+            return dict(zip(cases, result.stdout.splitlines()))
+
+        short, long = "5:9", "6:900"
+        fresh = {**run(short), **run(long)}
+        assert run(long, short) == fresh
+        assert run(short, long) == fresh
+
+    def test_threads_growing_and_reading_see_one_length(self, monkeypatch):
+        empty = fr.metrics._rows._make(np.empty(0) for _ in fr.metrics._rows)
+        monkeypatch.setattr(fr.metrics, "_rows", empty)
+        lengths = [1 + (37 * i) % 2000 for i in range(200)]
+        errors, rounds, epsilon = [], [0, 0], fr.metrics.SKEW_EPSILON
+        deadline = time.monotonic() + 1.0
+
+        def read(t):
+            try:
+                while time.monotonic() < deadline:
+                    if t == 0:
+                        fr.metrics._rows = empty  # start the growth over
+                    for n in lengths:
+                        positions, clamps, discount, weights = fr.metrics._prefix_rows(n)
+                        sizes = {positions.size, clamps.size, discount.size, weights.size}
+                        ends = positions[-1], clamps[-1]
+                        if sizes != {n} or ends != (n, epsilon / n):
+                            errors.append((t, n, sizes))
+                    rounds[t] += 1
+            except Exception as exc:  # a raise would otherwise only end the thread
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(t,), daemon=True) for t in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(rounds), rounds
+        assert errors == []

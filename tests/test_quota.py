@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_task, ref_ceil, ref_floor
-from fairrank.quota import ceil_quotas, floor_quotas
+from fairrank.quota import SNAP_TOL, ceil_quotas, floor_quotas
 
 
 def quotas(x):
@@ -84,3 +84,44 @@ def test_task_table_rows_are_the_exact_decimal_quotas(mix):
     assert table.floors.tolist() == table.floor_rows and table.ceils.tolist() == table.ceil_rows
     assert table.pools == [s.tolist() + [-math.inf] for s in task.pool.scores]
     assert task.table is table
+
+
+def snap_boundary_values():
+    """0.0, and nextafter neighbours of m - SNAP_TOL, m, m + SNAP_TOL and m + 0.5 to 2**20."""
+    rng = np.random.default_rng(97)
+    m = np.concatenate([np.arange(0.0, 600.0), rng.integers(600, 2**20, 400), [2.0**20]])
+    centers = np.concatenate([m - SNAP_TOL, m, m + SNAP_TOL, m + 0.5])
+    values = [np.array([0.0, -0.0])]
+    for direction in (np.inf, -np.inf):
+        x = centers
+        for _ in range(3):
+            values.append(x)
+            x = np.nextafter(x, direction)
+    return np.concatenate(values)
+
+
+def test_rounding_at_the_snap_boundary_matches_the_reference():
+    x = snap_boundary_values()
+    floors, ceils = floor_quotas(x).tolist(), ceil_quotas(x).tolist()
+    assert floors == [ref_floor(v) for v in x.tolist()]
+    assert ceils == [ref_ceil(v) for v in x.tolist()]
+    # both sides of the tolerance are in the sample, snapped and not
+    assert (np.abs(x - np.rint(x)) <= SNAP_TOL).any() and (np.abs(x - np.rint(x)) > SNAP_TOL).any()
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [(0.3, 0.7), (0.05, 0.35, 0.6), (0.1,) * 10, "random3", "random7"],
+)
+def test_task_table_rows_match_the_reference(mix):
+    if isinstance(mix, str):
+        w = np.random.default_rng(int(mix[-1])).random(int(mix[-1])) + 0.01
+        mix = tuple((w / w.sum()).tolist())
+    k_max = 300
+    labels = [f"g{i}" for i in range(len(mix))]
+    task = make_task(dict(zip(labels, mix)), {a: [0.5] * k_max for a in labels}, k_max)
+    table = task.table
+    p = task.desired.proportions.tolist()
+    rows = range(1, k_max + len(mix) + 3)
+    assert table.floor_rows == [[ref_floor(float(k) * q) for q in p] for k in rows]
+    assert table.ceil_rows == [[ref_ceil(float(k) * q) for q in p] for k in rows]

@@ -310,6 +310,20 @@ class TestCsv:
         with pytest.raises(fr.EmptyResult):
             fr.write_csv([], tmp_path / "never.csv")
 
+    def test_empty_iterator_rejected_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "never.csv"
+        for empty in ([], iter([]), (r for r in ())):
+            with pytest.raises(fr.EmptyResult):
+                fr.write_csv(empty, path)
+            assert not path.exists()
+
+    def test_iterator_writes_the_bytes_of_a_list(self, tmp_path):
+        rows = self.rows()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        fr.write_csv(rows, a)
+        fr.write_csv(iter(rows), b)
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestDiagnostics:
     def test_silent_when_all_tasks_counted(self, tmp_path):
