@@ -14,8 +14,6 @@ import json
 import sys
 from collections.abc import Mapping
 
-import numpy as np
-
 from .errors import RankingError, ValidationError
 from .metrics import measure
 from .model import DesiredDistribution, RankedList, task_from_dict
@@ -86,8 +84,7 @@ def cmd_measure(args) -> int:
 
     ideal = None
     if args.task:
-        task = task_from_dict(_load_json(args.task))
-        ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
+        ideal = task_from_dict(_load_json(args.task)).merged[1]
     report = measure(ranked, desired, ideal_scores=ideal, k=args.k)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
     return EXIT_OK

@@ -100,10 +100,11 @@ def _check_depth(k, n: int) -> int:
 def _cumulative(attrs: np.ndarray, num_attrs: int) -> np.ndarray:
     """(..., num_attrs, n) int64 prefix counts of (..., n) attribute indices.
 
-    Column i covers the top i + 1.
+    Column i covers the top i + 1. The one-hot is built as int64 and
+    accumulated in place, so the sum runs with no buffered bool-to-int64 cast.
     """
-    onehot = attrs[..., None, :] == np.arange(num_attrs)[:, None]
-    return onehot.cumsum(axis=-1, dtype=np.int64)
+    counts = (attrs[..., None, :] == np.arange(num_attrs)[:, None]).astype(np.int64)
+    return np.add.accumulate(counts, axis=-1, out=counts)
 
 
 def prefix_counts(ranked: RankedList) -> np.ndarray:

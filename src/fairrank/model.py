@@ -243,6 +243,22 @@ class RankingTask:
             pool.append(-np.inf)
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every candidate's (attribute, score) by descending score, built on first use.
+
+        Ties go to the lower attribute index, then the earlier pool position:
+        a stable argsort of the negated scores. Both arrays are read-only and
+        cover all pools, not only k_max: vanilla ranks by their first k_max
+        entries and the scores are the ideal order NDCG is measured against.
+        Kept off the table, so a vanilla ranking builds no quotas.
+        """
+        lengths = [len(s) for s in self.pool.scores]
+        scores = np.concatenate(self.pool.scores)
+        attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        order = np.argsort(-scores, kind="stable")
+        return _freeze(attrs[order]), _freeze(scores[order])
+
 
 @dataclass(frozen=True, eq=False)
 class RankedList:

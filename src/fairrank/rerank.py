@@ -186,12 +186,9 @@ def _rank_greedy_family(task: RankingTask, algorithm: Algorithm, fallback: bool)
 
 
 def _rank_vanilla(task: RankingTask):
-    """Merge all pools by descending score; ties by attribute index, then pool order."""
-    lengths = [len(s) for s in task.pool.scores]
-    scores = np.concatenate(task.pool.scores)
-    attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    order = np.argsort(-scores, kind="stable")[: task.k_max]
-    return attrs[order], scores[order], 0
+    """The first k_max of the task's merged order (ties by attribute index, then pool order)."""
+    attrs, scores = task.merged
+    return attrs[: task.k_max], scores[: task.k_max], 0
 
 
 def _rank_det_const_sort(task: RankingTask, fallback: bool):

@@ -19,6 +19,7 @@ records how many tasks each mean covers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -53,7 +54,9 @@ def _check_count(name: str, value, least: int) -> None:
         raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+@functools.cache
 def attribute_labels(num_attr: int) -> tuple[str, ...]:
+    """("a1", ..., "a<num_attr>"), one tuple per size, shared by every later call."""
     return tuple(f"a{i + 1}" for i in range(num_attr))
 
 
@@ -76,11 +79,9 @@ def gen_pool(num_attr: int, pool_size: int, rng: np.random.Generator) -> ScoredP
     s = rng.random((num_attr, pool_size))
     while not np.all(s > 0):
         s = rng.random((num_attr, pool_size))
-    s = np.sort(s, axis=1)[:, ::-1]
-    return ScoredPool(
-        labels=attribute_labels(num_attr),
-        scores=tuple(_freeze(row.copy()) for row in s),
-    )
+    s.sort(axis=1)
+    # one read-only descending copy; its rows are views of it
+    return ScoredPool(labels=attribute_labels(num_attr), scores=tuple(_freeze(s[:, ::-1].copy())))
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,11 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
 
     The rankers' raw attribute and score columns, which rank would wrap in
     RankedLists, go through the metrics core as one (m, k_max) batch, at
-    depth k_max against the merged pools' descending score order `ideal`,
-    so vanilla scores exactly 1.0. Each ranked algorithm gets one (6,) float64
-    row in CSV order: infeasible_index, infeasible_count, min_skew,
-    max_skew, ndkl and ndcg of measure(ranked, task.desired, ideal,
-    task.k_max). Algorithms that raise a RankingError land in failures
+    depth k_max against `ideal`, the scores of task.merged, which vanilla
+    ranks by too, so vanilla scores exactly 1.0. Each ranked algorithm gets
+    one (6,) float64 row in CSV order: infeasible_index, infeasible_count,
+    min_skew, max_skew, ndkl and ndcg of measure(ranked, task.desired,
+    ideal, task.k_max). Algorithms that raise a RankingError land in failures
     (exception class name) instead of rows. algorithms must be a list of
     names or Algorithms (ValidationError otherwise, also for one bare name),
     and fallback must be True or False.
@@ -157,8 +158,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     attrs, scores, _ = zip(*rankings.values())
     cum = _cumulative(np.array(attrs, dtype=np.int64), len(task.desired))
     tables = _Pair(None, task.desired, counts=cum, floors=task.table.floors[: task.k_max].T)
-    ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-    columns = _columns(tables, np.array(scores, dtype=np.float64), task.k_max, ideal)
+    columns = _columns(tables, np.array(scores, dtype=np.float64), task.k_max, task.merged[1])
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 
 
@@ -195,14 +195,17 @@ def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, repeat(config), *zip(*spans)))
 
+    # spans run by num_attr and each chunk by algorithm, so the cells come out in row order
+    cells: dict[tuple[int, Algorithm], list] = {}
+    for (num_attr, _, _), chunk in zip(spans, results):
+        for algo, table in chunk.items():
+            cells.setdefault((num_attr, algo), []).append(table)
     rows = []
-    for num_attr in range(config.attr_min, config.attr_max + 1):
-        for algo in config.algorithms:
-            table = np.concatenate(
-                [chunk[algo] for (n, _, _), chunk in zip(spans, results) if n == num_attr]
-            )
-            mean = table.mean(axis=0) if len(table) else np.zeros(_METRIC_WIDTH)
-            rows.append(AggregateRow(num_attr, algo, *(float(x) for x in mean), len(table)))
+    for (num_attr, algo), tables in cells.items():
+        table = tables[0] if len(tables) == 1 else np.concatenate(tables)
+        # the bits of table.mean(axis=0), without its dispatch
+        mean = table.sum(axis=0) / len(table) if len(table) else np.zeros(_METRIC_WIDTH)
+        rows.append(AggregateRow(num_attr, algo, *mean.tolist(), len(table)))
     return rows
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairrank import RankedList, rank, task_from_dict
+from fairrank import RankedList, measure, rank, task_from_dict
 from fairrank.cli import _ranked_json, build_parser, main
 
 FOUR_GROUP_TASK = {
@@ -273,6 +273,31 @@ class TestMeasureCommand:
             "measure", "--input", str(path), "--desired", desired_path, "--task", task_file
         )
         assert json.loads(result.stdout)["ndcg"] == 1.0
+
+    @pytest.mark.parametrize("algorithm", ["vanilla", "detcons"])
+    def test_task_ideal_on_tied_pools_matches_a_sort_of_the_pools(self, tmp_path, algorithm):
+        # ties across pools, zeros of both signs, an empty pool and a dropped label
+        obj = {
+            "k": 9,
+            "desired": {"a": 0.4, "gone": 0.0, "b": 0.3, "c": 0.2, "d": 0.1},
+            "pools": {
+                "a": [0.5, 0.5, 0.2, 0.0, -0.0], "gone": [0.9],
+                "b": [0.5, 0.2, 0.2, -0.0, 0.0], "c": [0.7, 0.5, 0.0], "d": [],
+            },
+        }
+        task_path = write_json(tmp_path / "task.json", obj)
+        desired_path = write_json(tmp_path / "desired.json", obj["desired"])
+        ranked_path, out = tmp_path / "ranked.json", tmp_path / "report.json"
+        rerank = ["rerank", "--input", task_path, "--algorithm", algorithm, "--fallback"]
+        assert main([*rerank, "--output", str(ranked_path)]) == 0
+        args = ["--input", str(ranked_path), "--desired", desired_path, "--task", task_path]
+        assert main(["measure", *args, "--k", "7", "--output", str(out)]) == 0
+        task = task_from_dict(obj)
+        records = json.loads(ranked_path.read_text())
+        ranked = RankedList.from_records(records, task.desired.labels)
+        ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
+        report = measure(ranked, task.desired, ideal_scores=ideal, k=7)
+        assert out.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
 
     def test_unknown_attribute_rejected(self, tmp_path):
         records = [{"position": 1, "attribute": "zz", "score": 0.5}]

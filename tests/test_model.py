@@ -378,6 +378,60 @@ class TestRankingTask:
             assert hash(obj) == hash(obj) and {obj: 1}[obj] == 1
 
 
+def merged_reference(desired, pools):
+    """sorted over (-score, label index, pool position), skipping zero-proportion labels."""
+    kept = [a for a, p in desired.items() if p != 0]
+    cands = [
+        (-s, i, j, s) for i, a in enumerate(kept) for j, s in enumerate(pools.get(a, []))
+    ]
+    ranked = sorted(cands, key=lambda c: c[:3])
+    return [c[1] for c in ranked], [c[3] for c in ranked]
+
+
+def tied_pools(seed):
+    """Pools of scores rounded to 0.1 with ties across pools, zeros of both signs and an
+    empty pool, under a distribution with one zero-proportion label."""
+    rng = np.random.default_rng(seed)
+    pools = {
+        a: sorted(np.round(rng.random(rng.integers(1, 12)), 1).tolist(), reverse=True)
+        for a in ("a", "b", "c")
+    }
+    pools["a"] += [0.0, -0.0]
+    pools["b"] += [-0.0, 0.0]
+    pools["empty"] = []
+    pools["gone"] = [0.9, 0.5]
+    desired = {"a": 0.3, "gone": 0.0, "b": 0.2, "empty": 0.1, "c": 0.4}
+    return desired, pools
+
+
+class TestMergedOrder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_a_sort_by_score_label_and_position(self, seed):
+        desired, pools = tied_pools(seed)
+        task = make_task(desired, pools, 3)
+        attrs, scores = task.merged
+        want_attrs, want_scores = merged_reference(desired, pools)
+        assert attrs.dtype == np.int64 and attrs.tolist() == want_attrs
+        # bytes, so a -0.0 has to sit where the reference puts it
+        assert scores.tobytes() == np.array(want_scores, dtype=np.float64).tobytes()
+        assert not attrs.flags.writeable and not scores.flags.writeable
+        assert task.merged is task.merged
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_vanilla_is_the_argsort_of_the_merged_pools(self, seed):
+        # the merge vanilla ran before the order was kept on the task
+        desired, pools = tied_pools(seed)
+        task = make_task(desired, pools, 9)
+        lengths = [len(s) for s in task.pool.scores]
+        flat = np.concatenate(task.pool.scores)
+        order = np.argsort(-flat, kind="stable")[:9]
+        attrs = np.repeat(np.arange(len(lengths)), lengths)[order]
+        ranked = fr.rank(task, "vanilla")
+        assert ranked.attributes.tolist() == attrs.tolist()
+        assert ranked.scores.tobytes() == flat[order].tobytes()
+        assert ranked.scores.flags.owndata and not ranked.scores.flags.writeable
+
+
 class TestTaskFromDict:
     def test_json_shape(self):
         task = fr.task_from_dict(

@@ -61,6 +61,20 @@ class TestGenerators:
         pool = fr.gen_pool(2, np.int64(0), spawn_rng(42, 2, 0, 0))
         assert pool.total() == 0 and len(pool.scores) == 2
 
+    @pytest.mark.parametrize("num_attr, size", [(1, 5), (3, 100), (10, 37), (2, 0)])
+    def test_pool_rows_are_read_only_and_match_per_row_copies(self, num_attr, size):
+        pool = fr.gen_pool(num_attr, size, spawn_rng(8, num_attr, size))
+        # the same draw, with one sorted copy per row
+        rng = spawn_rng(8, num_attr, size)
+        s = rng.random((num_attr, size))
+        while not np.all(s > 0):
+            s = rng.random((num_attr, size))
+        want = [row.copy() for row in np.sort(s, axis=1)[:, ::-1]]
+        assert [x.tobytes() for x in pool.scores] == [x.tobytes() for x in want]
+        assert not any(x.flags.writeable for x in pool.scores)
+        assert pool.labels == tuple(f"a{i + 1}" for i in range(num_attr))
+        assert pool.labels is simulate.attribute_labels(num_attr)
+
     def test_pool_reproducible(self):
         a = fr.gen_pool(3, 10, spawn_rng(1, 3, 2, 0))
         b = fr.gen_pool(3, 10, spawn_rng(1, 3, 2, 0))
@@ -83,10 +97,11 @@ class TestRunTask:
         )
 
     @staticmethod
-    def measured_row(task, algo):
+    def measured_row(task, algo, fallback=False):
         # the (6,) row run_task must produce, in CSV order, from measure
         ideal = np.sort(np.concatenate(task.pool.scores))[::-1]
-        r = fr.measure(fr.rank(task, algo), task.desired, ideal_scores=ideal, k=task.k_max)
+        ranked = fr.rank(task, algo, fallback=fallback)
+        r = fr.measure(ranked, task.desired, ideal_scores=ideal, k=task.k_max)
         return [r.infeasible_index, r.infeasible_count, r.min_skew, r.max_skew, r.ndkl, r.ndcg]
 
     def test_rows_equal_measure(self):
@@ -120,6 +135,21 @@ class TestRunTask:
         for algo, row in outcome.rows.items():
             assert row.tolist() == self.measured_row(starved, algo)
         assert outcome.failures == {fr.Algorithm.DET_CONS: "InsufficientCandidates"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_measure_on_tied_pools(self, seed):
+        # ndcg against np.sort of the concatenated pools, reversed, and ties everywhere
+        rng = np.random.default_rng(seed)
+        pools = {
+            a: sorted(np.round(rng.random(20), 1).tolist() + [0.0, -0.0], reverse=True)
+            for a in ("a", "b", "c")
+        }
+        pools["d"] = []
+        task = make_task({"a": 0.5, "b": 0.25, "x": 0.0, "c": 0.15, "d": 0.1}, pools, 40)
+        outcome = fr.run_task(task, list(fr.Algorithm), fallback=True)
+        assert outcome.rows
+        for algo, row in outcome.rows.items():
+            assert row.tolist() == self.measured_row(task, algo, fallback=True)
 
     @NOT_A_LIST
     def test_algorithms_must_be_a_list(self, algorithms):
@@ -241,6 +271,39 @@ class TestRunGrid:
                 if a != b
             ]
             assert not differing, f"chunk {chunk} changed rows {differing}"
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize(
+        "sizes", [dict(pool_size=30, k_max=30), dict(pool_size=20, k_max=40)],
+        ids=["fed", "starved"],
+    )
+    def test_cell_means_equal_np_mean_of_task_rows(self, monkeypatch, chunk, sizes):
+        config = fr.SimulationConfig(attr_min=2, attr_max=4, num_distributions=10, seed=9, **sizes)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        rows = fr.run_grid(config)
+        # the grid's tasks, rebuilt with its documented stream keys, one task at a time
+        tables = {}
+        for n in range(2, 5):
+            for d in range(10):
+                desired = fr.gen_desired(n, spawn_rng(9, n, d))
+                pool = fr.gen_pool(n, config.pool_size, spawn_rng(9, n, d, 0))
+                task = fr.RankingTask(desired=desired, pool=pool, k_max=config.k_max)
+                for algo, row in fr.run_task(task, list(fr.Algorithm)).rows.items():
+                    tables.setdefault((n, algo), []).append(row)
+        assert [(r.num_attr, r.algorithm) for r in rows] == [
+            (n, a) for n in range(2, 5) for a in fr.Algorithm
+        ]
+        for r in rows:
+            table = np.array(tables.get((r.num_attr, r.algorithm), []))
+            means = [r.mean_infeasible_index, r.mean_infeasible_count, r.mean_min_skew,
+                     r.mean_max_skew, r.mean_ndkl, r.mean_ndcg]
+            assert r.task_count == len(table)
+            want = np.mean(table, axis=0).tolist() if len(table) else [0.0] * 6
+            assert means == want, (r.num_attr, r.algorithm)
+        if config.pool_size == 20:
+            # two pools of 20 cannot meet the floors of an uneven 2-value mix at k = 40,
+            # so those cells are all-failed and read zeros (checked above)
+            assert {r.num_attr for r in rows if r.task_count == 0} == {2}
 
     def test_workers_capped_at_work_units(self, monkeypatch):
         opened = []
