@@ -30,8 +30,8 @@ built.
 
 infeasible_index counts prefix lengths k where some attribute value sits
 below its floor quota floor(k * p_a); infeasible_count counts the individual
-(attribute, k) violations. Quotas round through quota.floor_quotas so these
-checks agree with the re-ranking algorithms.
+(attribute, k) violations. quota.below_floor tests each count against its
+floor with no floor table, so these checks agree with the re-rankers.
 
 Every skew and NDKL reads one log-share matrix per list,
 L[a, i - 1] = ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) over every prefix
@@ -39,14 +39,15 @@ length i, with c_ia the count of attribute a in the top i: the skews at depth
 k are column k - 1, and NDKL's KL terms are (c_ia / i) * L[a, i - 1].
 
 Every per-prefix table comes from one producer, a _Pair entry, which builds
-its prefix counts, floors, shares c_ia / i, log-share matrix and
-floor-violation mask, each on first use and read-only. The tables are
+its prefix counts, shares c_ia / i, log-share matrix and floor-violation
+mask, each on first use and read-only; there is no floor table. The tables are
 attribute-major, (num_attrs, n) with column i - 1 covering the top i, so
 every per-prefix op and every sum over attributes runs along the long
 prefix axis. One entry is the memo: it holds the last (list, distribution)
 pair, so a chain of metric calls on that pair, measure among them, checks
-labels once and builds each table it needs once. run_task builds its own
-entry for its batch from the rankings' counts and the task's floor table.
+labels once and builds each table it needs once. run_task gives its batch
+entry the rankings' (m, num_attrs, n) counts, and the entry builds the rest
+the same way, broadcast over the m lists.
 Both objects own read-only arrays and label tuples, so no result depends on
 what is kept, and every array a caller gets back is its own copy, never a
 view into a kept table.
@@ -83,8 +84,9 @@ from .model import (
     _as_float_array,
     _freeze,
     _is_int,
+    _lazy,
 )
-from .quota import floor_quotas
+from .quota import below_floor
 
 SKEW_EPSILON = 1e-6
 
@@ -140,31 +142,13 @@ def _prefix_rows(n: int) -> _Rows:
     return _Rows(rows.positions[:n], rows.clamps[:n], rows.discount[:n], rows.weights[:n])
 
 
-class _lazy:
-    """A table built on its first read and kept in the instance dict, so later reads skip it.
-
-    functools.cached_property does the same, but before Python 3.12 it takes
-    a lock on every first read. A racing thread may build a table twice; both
-    builds are equal, so which one is kept does not matter.
-    """
-
-    def __init__(self, build):
-        self.build, self.name = build, build.__name__
-
-    def __get__(self, entry, owner=None):
-        if entry is None:
-            return self
-        value = vars(entry)[self.name] = self.build(entry)
-        return value
-
-
 class _Pair:
     """A (list, distribution) pair and its lazy read-only tables.
 
     Every table is attribute-major, (..., num_attrs, n), and column i covers
-    the top i + 1. run_task's batch entry has no list: it is given its
-    (m, num_attrs, n) counts and (num_attrs, n) floors, and keyword tables
-    win over the lazy ones.
+    the top i + 1; there is no floor table. run_task's batch entry has no
+    list: it is given its (m, num_attrs, n) counts, and keyword tables win
+    over the lazy ones.
     """
 
     def __init__(self, ranked: RankedList | None, desired: DesiredDistribution | None, **tables):
@@ -179,11 +163,6 @@ class _Pair:
     def rows(self) -> _Rows:
         """The kept prefix-length rows over this entry's length n."""
         return _prefix_rows(self.counts.shape[-1])
-
-    @_lazy
-    def floors(self) -> np.ndarray:
-        # p_a * k is k * p_a bit for bit, so these are the quota module's floors
-        return _freeze(floor_quotas(self.desired.proportions[:, None] * self.rows.positions))
 
     @_lazy
     def positive(self) -> bool:
@@ -206,7 +185,9 @@ class _Pair:
 
     @_lazy
     def violations(self) -> np.ndarray:
-        return _freeze(self.counts < self.floors)
+        # p_a * i is i * p_a bit for bit, so this is the quota module's floor test
+        products = self.desired.proportions[:, None] * self.rows.positions
+        return _freeze(below_floor(self.counts, products))
 
 
 _last = _Pair(None, None)
@@ -262,12 +243,13 @@ def skew_at_k(ranked: RankedList, desired: DesiredDistribution, attr, k: int) ->
 
 def min_skew_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> float:
     """Most negative skew at depth k (worst under-representation); <= 0."""
-    return min(float(_skew_row(ranked, desired, k).min()), 0.0)
+    # a Python min over the row skips numpy's fixed cost and picks the element row.min() would
+    return min(min(_skew_row(ranked, desired, k).tolist()), 0.0)
 
 
 def max_skew_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> float:
     """Most positive skew at depth k (worst over-representation); >= 0."""
-    return max(float(_skew_row(ranked, desired, k).max()), 0.0)
+    return max(max(_skew_row(ranked, desired, k).tolist()), 0.0)
 
 
 def kl_divergence(p, q) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -157,6 +156,26 @@ class ScoredPool:
         return sum(len(s) for s in self.scores)
 
 
+class _lazy:
+    """A table built on its first read and kept in the instance dict, so later reads skip it.
+
+    functools.cached_property does the same, but before Python 3.12 it takes
+    a lock on every first read. A racing thread may build a table twice; both
+    builds are equal, so which one is kept does not matter, but two reads
+    that race on the first build may get different objects: `x.table is
+    x.table` holds once a first read has finished.
+    """
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, entry, owner=None):
+        if entry is None:
+            return self
+        value = vars(entry)[self.name] = self.build(entry)
+        return value
+
+
 # a task's quotas and pools in the form the re-rankers read
 TaskTable = namedtuple("TaskTable", "floors ceils floor_rows ceil_rows pools")
 
@@ -226,7 +245,7 @@ class RankingTask:
     def __reduce__(self):  # pickle and deepcopy rebuild, and so re-freeze, through the constructor
         return type(self), (self.desired, self.pool, self.k_max)
 
-    @cached_property
+    @_lazy
     def table(self) -> TaskTable:
         """The task's quotas and pools, built on first use and shared by every ranking.
 
@@ -243,7 +262,7 @@ class RankingTask:
             pool.append(-np.inf)
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
-    @cached_property
+    @_lazy
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
         """Every candidate's (attribute, score) by descending score, built on first use.
 

@@ -18,12 +18,12 @@ Sterbenz's lemma the subtraction is exact and the test sees the true
 distance.
 
 Quotas round in one place: every table of k * p_a goes through these
-helpers, both the per-task table the re-rankers share
-(model.RankingTask.table), which rounds prefix_products, and the floors the
-metrics take of any list. The metrics form their attribute-major products
-p_a * k from a row of prefix lengths, the same bits as prefix_products
-since multiplication commutes, and floor_quotas still does all the
-rounding, so the algorithms and the metrics agree on every quota.
+helpers. The per-task table the re-rankers share (model.RankingTask.table)
+rounds prefix_products. The metrics only ask whether a count is below its
+floor, and below_floor asks it by floor_quotas' own fraction test in
+comparison form, exact for the same reason (its docstring has the proof).
+Their products p_a * k are the bits of prefix_products, since multiplication
+commutes, so the algorithms and the metrics agree on every quota.
 """
 
 import numpy as np
@@ -54,3 +54,22 @@ def ceil_quotas(x: np.ndarray) -> np.ndarray:
     np.subtract(x, gap, out=gap)
     c -= gap <= SNAP_TOL
     return c.astype(np.int64)
+
+
+def below_floor(counts: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """counts < floor_quotas(products) elementwise, by one exact comparison; returns bool.
+
+    counts are int64 (below 2**53, so counts + 1 is exact in float64) and
+    the test is (counts + 1) - products <= SNAP_TOL. With f = floor(x) for
+    a product x, floor_quotas(x) is f + 1 when (f + 1) - x <= SNAP_TOL and f
+    otherwise. Where c + 1 <= f, c is below either floor, and (c + 1) - x
+    is at most f - x <= 0 in exact arithmetic, so its rounding is <= 0 too:
+    both sides are true. Where c = f, c is below the floor only when it
+    snaps up, and the test is the very subtraction floor_quotas makes,
+    exact by Sterbenz wherever it can pass: both sides agree. Where
+    c >= f + 1, c reaches either floor, and (c + 1) - x >= (f + 2) - x > 1,
+    which rounds to at least 1: both sides are false.
+    """
+    gap = counts + 1.0
+    gap -= products
+    return gap <= SNAP_TOL

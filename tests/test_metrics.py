@@ -704,6 +704,12 @@ class TestLogShareMemo:
         fr.measure(ranked, desired)
         warm = [bits(call(ranked, desired)) for call in calls]
         assert warm == [bits(call(*copies(ranked, desired))) for call in calls]
+        # the Python reductions over a skew row return the element numpy's would
+        for k in range(1, len(ranked) + 1):
+            row = fr.skews_at_k(ranked, desired, k)
+            low, high = fr.min_skew_at_k(ranked, desired, k), fr.max_skew_at_k(ranked, desired, k)
+            assert bits(low) == bits(min(float(row.min()), 0.0))
+            assert bits(high) == bits(max(float(row.max()), 0.0))
 
     def test_returned_skews_own_their_data(self):
         ranked, desired = random_case(np.random.default_rng(41), 4, 50)
@@ -741,8 +747,8 @@ class TestLogShareMemo:
 
     def test_a_cold_skew_query_rounds_no_floors(self, monkeypatch):
         rounded = []
-        real = fr.metrics.floor_quotas
-        monkeypatch.setattr(fr.metrics, "floor_quotas", lambda t: rounded.append(1) or real(t))
+        real = fr.metrics.below_floor
+        monkeypatch.setattr(fr.metrics, "below_floor", lambda c, x: rounded.append(1) or real(c, x))
         ranked, desired = random_case(np.random.default_rng(43), 3, 30)
         fr.min_skew_at_k(ranked, desired, 10)
         fr.skews_at_k(ranked, desired, 30)
@@ -769,7 +775,7 @@ class TestLogShareMemo:
         # measure used to build and keep the counts and floors before refusing
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.measure(ranked, zero)
-        tables = {"counts", "floors", "shares", "logs", "violations"}
+        tables = {"counts", "shares", "logs", "violations"}
         assert not tables & vars(fr.metrics._last).keys()
 
     def test_keeps_at_most_one_pair_alive(self):

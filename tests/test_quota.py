@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_task, ref_ceil, ref_floor
-from fairrank.quota import SNAP_TOL, ceil_quotas, floor_quotas
+from fairrank.quota import SNAP_TOL, below_floor, ceil_quotas, floor_quotas
 
 
 def quotas(x):
@@ -107,6 +107,11 @@ def test_rounding_at_the_snap_boundary_matches_the_reference():
     assert ceils == [ref_ceil(v) for v in x.tolist()]
     # both sides of the tolerance are in the sample, snapped and not
     assert (np.abs(x - np.rint(x)) <= SNAP_TOL).any() and (np.abs(x - np.rint(x)) > SNAP_TOL).any()
+    # the comparison form agrees with the rounded floors for counts on both sides of each floor
+    f = floor_quotas(x)
+    for c in (np.maximum(f + d, 0) for d in (-1, 0, 1, 2)):
+        assert below_floor(c, x).tolist() == (c < f).tolist()
+    assert below_floor(np.zeros(1, dtype=np.int64), np.zeros(1)).tolist() == [False]
 
 
 @pytest.mark.parametrize(
