@@ -145,11 +145,12 @@ class ScoredPool:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Sequence[float]]) -> ScoredPool:
         labels = tuple(str(k) for k in mapping)
-        scores = tuple(
-            _freeze(_as_float_array(_as_list(v, f"pool for {k!r}"), f"pool scores for {k!r}"))
-            for k, v in mapping.items()
-        )
-        return cls(labels=labels, scores=scores)
+        scores = []
+        for k, v in mapping.items():
+            if not isinstance(v, list):  # numpy copies a list as it reads it: no copy first
+                v = _as_list(v, f"pool for {k!r}")
+            scores.append(_freeze(_as_float_array(v, f"pool scores for {k!r}")))
+        return cls(labels=labels, scores=tuple(scores))
 
     def total(self) -> int:
         """Number of candidates across all attribute values."""
@@ -176,7 +177,11 @@ class _lazy:
         return value
 
 
-# a task's quotas and pools in the form the re-rankers read
+# the -inf written after each pool of a RankingTask's score copy
+_SENTINEL = _freeze(np.full(1, -np.inf))
+
+# a task's quotas as arrays and row lists, and its pools as memoryviews of the
+# task's score copy, each ending in its -inf sentinel: the form the re-rankers read
 TaskTable = namedtuple("TaskTable", "floors ceils floor_rows ceil_rows pools")
 
 
@@ -187,9 +192,10 @@ class RankingTask:
     Construction checks the task and stores its canonical form: k_max as an
     int, zero-proportion values dropped with their pools, and the pools in
     desired label order (a missing one is empty) as read-only views of one
-    copy of all the scores. A k_max that is not a positive integer, unknown
-    or duplicate pool labels, or a pool that is not flat, finite and
-    non-increasing (the first in label order is named) raise a
+    copy of all the scores, which holds a -inf sentinel after each pool for
+    the re-rankers (the views leave it out). A k_max that is not a positive
+    integer, unknown or duplicate pool labels, or a pool that is not flat,
+    finite and non-increasing (the first in label order is named) raise a
     ValidationError subclass; fewer than k_max candidates in all raise
     InsufficientCandidates.
     """
@@ -218,27 +224,31 @@ class RankingTask:
                 labels.append(a)
                 props.append(float(p))
                 given.append(_as_float_array(by_label.get(a, ()), f"pool scores for {a!r}"))
-        # all pools are checked in one pass over one copy of their scores; each is a slice flat[i:j]
-        flat = _freeze(np.concatenate([s.ravel() for s in given]))
-        spans = list(pairwise(accumulate((s.size for s in given), initial=0)))
-        # a rise from flat[j - 1] to flat[j] only crosses from one pool to the next
-        rises = set(np.flatnonzero(flat[1:] > flat[:-1]).tolist()) - {j - 1 for _, j in spans}
-        if rises or not np.isfinite(flat).all() or not all(s.ndim == 1 for s in given):
+        # all pools are checked in one pass over one copy of their scores, with a
+        # -inf sentinel after each pool: pool a is padded[i:j - 1], its sentinel padded[j - 1]
+        padded = _freeze(np.concatenate([x for s in given for x in (s.ravel(), _SENTINEL)]))
+        spans = list(pairwise(accumulate((s.size + 1 for s in given), initial=0)))
+        # a rise from padded[j - 1] to padded[j] only leaves a sentinel for the next pool
+        rises = set(np.flatnonzero(padded[1:] > padded[:-1]).tolist()) - {j - 1 for _, j in spans}
+        total = padded.size - len(given)
+        # the only non-finite values of a valid task are its sentinels
+        finite = np.count_nonzero(np.isfinite(padded)) == total
+        if rises or not finite or not all(s.ndim == 1 for s in given):
             # report the first offending pool in label order, as a per-pool check would
             for a, s, (i, j) in zip(labels, given, spans):
                 if s.ndim != 1:
                     raise ValidationError(f"pool for {a!r} must be a flat list of scores")
-                if not np.isfinite(flat[i:j]).all():
+                if not np.isfinite(padded[i : j - 1]).all():
                     raise ValidationError(f"pool for {a!r} contains non-finite scores")
                 if any(i <= t < j for t in rises):
                     raise PoolNotSorted(f"pool for {a!r} is not sorted by non-increasing score")
-        if flat.size < self.k_max:
-            raise InsufficientCandidates(f"pools hold {flat.size} candidates, k_max is {self.k_max}")
+        if total < self.k_max:
+            raise InsufficientCandidates(f"pools hold {total} candidates, k_max is {self.k_max}")
 
         # the task's own distribution is already checked unless a label was dropped
         if len(labels) < len(self.desired):
             object.__setattr__(self, "desired", DesiredDistribution(tuple(labels), props))
-        pool = ScoredPool(labels=tuple(labels), scores=tuple(flat[i:j] for i, j in spans))
+        pool = ScoredPool(labels=tuple(labels), scores=tuple(padded[i : j - 1] for i, j in spans))
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "k_max", int(self.k_max))
 
@@ -252,14 +262,19 @@ class RankingTask:
         floors and ceils are the read-only int64 tables floor(k * p_a) and
         ceil(k * p_a), both rounded from one prefix_products table, row i for
         k = i + 1, over k_max + n + 2 rows (DetConstSort's counter bound);
-        floor_rows and ceil_rows are the same as lists, and each pool is a
-        list of its scores ending in a -inf sentinel.
+        floor_rows and ceil_rows are the same as lists. Each pool is a
+        read-only memoryview of the task's one score copy, the pool's scores
+        and the -inf sentinel after them, so a ranking reads in place only
+        the candidates it places, each as a Python float.
         """
         products = prefix_products(self.desired.proportions, self.k_max + len(self.desired) + 2)
         floors, ceils = _freeze(floor_quotas(products)), _freeze(ceil_quotas(products))
-        pools = [s.tolist() for s in self.pool.scores]
-        for pool in pools:
-            pool.append(-np.inf)
+        padded = memoryview(self.pool.scores[0].base)  # every pool is a view of it
+        pools, i = [], 0
+        for s in self.pool.scores:  # a plain loop: a generator costs more at k = 10
+            j = i + s.size + 1
+            pools.append(padded[i:j])
+            i = j
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
     @_lazy
@@ -272,11 +287,12 @@ class RankingTask:
         entries and the scores are the ideal order NDCG is measured against.
         Kept off the table, so a vanilla ranking builds no quotas.
         """
-        lengths = [len(s) for s in self.pool.scores]
-        scores = np.concatenate(self.pool.scores)
+        lengths = [s.size + 1 for s in self.pool.scores]
+        padded = self.pool.scores[0].base
         attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        order = np.argsort(-scores, kind="stable")
-        return _freeze(attrs[order]), _freeze(scores[order])
+        # the negated sentinels are +inf, so they sort last and are cut off
+        order = np.argsort(-padded, kind="stable")[: padded.size - len(lengths)]
+        return _freeze(attrs[order]), _freeze(padded[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +383,7 @@ class RankedList:
                 if isinstance(score, (str, bytes, bool, np.bool_)):
                     raise TypeError(f"score must be a number, got {score!r}")
                 scores[i] = float(score)
-            except (TypeError, KeyError, ValueError) as exc:
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"ranked row {i}: {exc!r}") from None
             try:
                 attrs[i] = label_index[label]

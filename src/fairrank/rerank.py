@@ -36,14 +36,15 @@ floor(k * p_a) and ceil(k * p_a) at each prefix length k:
 Every selection goes through one kernel, _pick(counts, floor, limit, nxt,
 key): over the attributes with counts[a] < limit[a] it takes the lowest key,
 where an attribute below floor[a] keys -inf, then the higher next score
-nxt[a], then the lower index. Each pool is a list ending in a -inf sentinel
-and nxt[a] advances only when a wins, so nxt[a] == -inf marks an exhausted
-pool. detgreedy, detcons and detrelaxed make one _pick per position with the
-floor row, the ceiling row and their key row (zeros, pressure classes,
-levels); an attribute below its floor is below its ceiling too, so floors
-are served first, by next score. Rows and pools come from the task's table,
-built once per task and shared by all rankings of it; only the key rows are
-built per call, with numpy.
+nxt[a], then the lower index. Each pool is a read-only memoryview of the
+task's one score copy, the pool's scores and then a -inf sentinel, read in
+place (an index yields a Python float), and nxt[a] advances only when a
+wins, so nxt[a] == -inf marks an exhausted pool. detgreedy, detcons and
+detrelaxed make one _pick per position with the floor row, the ceiling row
+and their key row (zeros, pressure classes, levels); an attribute below its
+floor is below its ceiling too, so floors are served first, by next score.
+Rows and pools come from the task's table, built once per task and shared
+by all rankings of it; only the key rows are built per call, with numpy.
 
 Each algorithm's kernel returns its raw (attributes, scores,
 fallback_events) columns through one private dispatcher, _rank_columns.

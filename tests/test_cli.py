@@ -339,9 +339,11 @@ class TestMeasureCommand:
             # float() used to read both scores as numbers, with exit 0
             [{"position": 1, "attribute": "a", "score": "0.5"}],
             [{"position": 1, "attribute": "a", "score": True}],
+            # float() raised OverflowError, a traceback with exit 1
+            [{"position": 1, "attribute": "a", "score": 10**400}],
         ],
         ids=["unhashable-label", "unorderable-positions", "nan-position", "duplicate-positions",
-             "string-score", "bool-score"],
+             "string-score", "bool-score", "integer-score-beyond-float"],
     )
     def test_malformed_rows_rejected(self, tmp_path, records):
         # none may escape as a TypeError traceback (exit 1) or be measured

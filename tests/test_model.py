@@ -219,6 +219,15 @@ class TestValidateTask:
         task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9, 0.8]}, 2)
         assert task.pool.scores[1].size == 0
 
+    def test_given_pools_are_copied_not_aliased(self):
+        # freezing an aliased array would make the caller's own array read-only
+        given, listed = np.array([0.9, 0.5]), [0.8, 0.4]
+        pool = fr.ScoredPool.from_mapping({"a": given, "b": listed})
+        assert given.flags.writeable and listed == [0.8, 0.4]
+        assert not any(s.flags.writeable for s in pool.scores)
+        given[0], listed[0] = 0.1, 0.2
+        assert [s.tolist() for s in pool.scores] == [[0.9, 0.5], [0.8, 0.4]]
+
     def test_unknown_pool_attribute_rejected(self):
         with pytest.raises(fr.UnknownAttribute):
             make_task({"a": 1.0}, {"a": [0.9], "mystery": [0.5]}, 1)
@@ -277,11 +286,36 @@ class TestValidateTask:
 
     @pytest.mark.parametrize("b", [[0.7, 0.1]])
     def test_pools_are_views_of_one_read_only_array(self, b):
+        # one copy with a -inf sentinel after each pool; the views leave it out
         task = make_task({"a": 0.5, "b": 0.5}, {"a": [0.9], "b": b}, 3)
         base = task.pool.scores[0].base
         assert all(s.base is base for s in task.pool.scores)
         assert not base.flags.writeable
-        assert base.tolist() == [0.9, 0.7, 0.1]
+        assert base.tolist() == [0.9, -np.inf, 0.7, 0.1, -np.inf]
+        assert [s.tolist() for s in task.pool.scores] == [[0.9], [0.7, 0.1]]
+
+    @pytest.mark.parametrize(
+        "pools, want",
+        [
+            ({"a": [0.9], "b": [0.7, 0.1], "c": [0.5]}, [[0.9], [0.7, 0.1], [0.5]]),
+            ({"a": [0.9, 0.2], "c": [0.4]}, [[0.9, 0.2], [], [0.4]]),
+            ({"b": [], "c": [0.3], "gone": [0.8]}, [[], [], [0.3]]),
+        ],
+        ids=["full", "missing", "empty"],
+    )
+    def test_table_pools_read_the_scores_in_place(self, pools, want):
+        task = make_task({"a": 0.25, "gone": 0.0, "b": 0.25, "c": 0.5}, pools, 1)
+        table = task.table
+        assert [view.tolist() for view in table.pools] == [w + [-np.inf] for w in want]
+        for view, scores in zip(table.pools, task.pool.scores, strict=True):
+            assert isinstance(view, memoryview) and view.readonly
+            assert view.tolist() == scores.tolist() + [-np.inf]
+            # the pool and its sentinel, over the buffer of the pool's own view
+            # (numpy does not offset the data pointer of an empty slice)
+            assert view.obj is scores.base
+            if scores.size:
+                start = np.asarray(view).__array_interface__["data"][0]
+                assert start == scores.__array_interface__["data"][0]
 
     @pytest.mark.parametrize(
         "pools",
@@ -344,8 +378,11 @@ class TestRankingTask:
             fr.RankingTask(*half_and_half({"a": [0.1, 0.9], "b": [0.8]}), 2)
 
     def test_pools_shorter_than_k_rejected_when_built(self):
-        with pytest.raises(fr.InsufficientCandidates, match="hold 2 candidates, k_max is 3"):
-            fr.RankingTask(*half_and_half({"a": [0.9], "b": [0.8]}), 3)
+        # the count is of candidates, not of the copy that holds them with their sentinels
+        cases = [({"a": [0.9], "b": [0.8]}, 2), ({"a": [], "b": [0.8]}, 1), ({"b": [0.8, 0.7]}, 2)]
+        for pools, total in cases:
+            with pytest.raises(fr.InsufficientCandidates, match=f"hold {total} candidates, k_max is 3"):
+                fr.RankingTask(*half_and_half(pools), 3)
 
     def test_validate_task_returns_the_task(self):
         task = make_task({"a": 1.0}, {"a": [0.9]}, 1)
@@ -358,11 +395,14 @@ class TestRankingTask:
         # a copied pool used to be writable, and a later write surfaced in
         # `rank` as "ranked scores must be finite"
         task = make_task({"a": 0.5, "gone": 0.0, "b": 0.5}, {"a": [0.9, 0.8], "b": [0.7]}, 3)
-        task.table
+        table = task.table
         copied = copy_of(task)
         assert "table" not in vars(copied)  # a kept table is not carried over
         assert not any(s.flags.writeable for s in copied.pool.scores)
         assert copied.desired.labels == copied.pool.labels == ("a", "b")
+        # rebuilt over the copy's own scores: a memoryview does not pickle
+        assert [v.tolist() for v in copied.table.pools] == [v.tolist() for v in table.pools]
+        assert all(v.obj is s.base for v, s in zip(copied.table.pools, copied.pool.scores))
         for algo in fr.Algorithm:
             ranked, again = fr.rank(task, algo), fr.rank(copied, algo)
             assert ranked.attributes.tolist() == again.attributes.tolist()
@@ -548,6 +588,23 @@ class TestRankedList:
     def test_rows_that_are_not_a_list_rejected(self, records):
         with pytest.raises(fr.ValidationError, match="must be a list"):
             fr.RankedList.from_records(records, ("a", "b"))
+
+    def test_rows_are_sorted_on_a_copy(self):
+        records = [
+            {"position": 2, "attribute": "a", "score": 0.8},
+            {"position": 1, "attribute": "b", "score": 0.9},
+        ]
+        given = list(records)
+        fr.RankedList.from_records(records, ("a", "b"))
+        assert records == given and all(r is g for r, g in zip(records, given))
+
+    def test_integer_score_beyond_float_range_rejected(self):
+        # float(10**400) raised OverflowError out of from_records
+        with pytest.raises(fr.ValidationError, match="ranked row 1"):
+            fr.RankedList.from_records(
+                [{"position": 1, "attribute": "a", "score": 0.5},
+                 {"position": 2, "attribute": "a", "score": 10**400}], ("a",)
+            )
 
     def test_malformed_row_rejected(self):
         with pytest.raises(fr.ValidationError):

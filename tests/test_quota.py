@@ -82,7 +82,8 @@ def test_task_table_rows_are_the_exact_decimal_quotas(mix):
         assert ceils == [math.ceil(x) for x in exact]
     assert table.floors.dtype == table.ceils.dtype == np.int64
     assert table.floors.tolist() == table.floor_rows and table.ceils.tolist() == table.ceil_rows
-    assert table.pools == [s.tolist() + [-math.inf] for s in task.pool.scores]
+    # each pool is read in place, as a memoryview of its scores and a -inf sentinel
+    assert [v.tolist() for v in table.pools] == [s.tolist() + [-math.inf] for s in task.pool.scores]
     assert task.table is table
 
 
