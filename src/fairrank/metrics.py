@@ -38,30 +38,34 @@ L[a, i - 1] = ln(max(c_ia / i, SKEW_EPSILON / i) / p_a) over every prefix
 length i, with c_ia the count of attribute a in the top i: the skews at depth
 k are column k - 1, and NDKL's KL terms are (c_ia / i) * L[a, i - 1].
 
-Every per-prefix table comes from one producer, a _Pair entry, which builds
-its prefix counts, shares c_ia / i, log-share matrix and floor-violation
-mask, each on first use and read-only; there is no floor table. The tables are
-attribute-major, (num_attrs, n) with column i - 1 covering the top i, so
-every per-prefix op and every sum over attributes runs along the long
-prefix axis. One entry is the memo: it holds the last (list, distribution)
-pair, so a chain of metric calls on that pair, measure among them, checks
-labels once and builds each table it needs once. run_task gives its batch
-entry the rankings' (m, num_attrs, n) counts, and the entry builds the rest
-the same way, broadcast over the m lists.
-Both objects own read-only arrays and label tuples, so no result depends on
-what is kept, and every array a caller gets back is its own copy, never a
-view into a kept table.
+Every per-prefix table comes from one producer, a _Pair entry of attribute
+indices and a distribution, which builds its prefix counts, shares c_ia / i,
+log-share matrix and floor-violation mask, each on first use and read-only;
+there is no floor table. The tables are attribute-major, (num_attrs, n) with
+column i - 1 covering the top i, so every per-prefix op and every sum over
+attributes runs along the long prefix axis. The memo is _pair, an
+lru_cache(maxsize=1) over (list, distribution): it keeps the entry of the
+last pair, so a chain of metric calls on that pair, measure among them,
+checks labels once and builds each table it needs once. run_task builds its
+batch entry from the rankings' (m, n) attribute indices, and the entry
+builds every table the same way, broadcast over the m lists.
+Lists and distributions own read-only arrays and label tuples, so no result
+depends on what is kept, and every array a caller gets back is its own copy,
+never a view into a kept table.
 
 The rows that depend only on the prefix length i are kept once per process:
 i itself, the skew clamp SKEW_EPSILON / i, the discount log2(i + 1) of DCG
-and NDKL's weight 1 / log2(i + 1). They are one read-only set that grows
-on demand, replaced whole by a single rebind, and each call slices its
-first n entries, which are bit for bit the rows built for length n. An
-entry, dcg and ndcg read these views, so no call builds them again.
+and NDKL's weight 1 / log2(i + 1). _rows_of caches one read-only set per
+power-of-two length, so the kept sets hold fewer than twice the entries of
+the longest, and _prefix_rows(n) slices the first n entries of the set for
+the power of two at or above n. Every entry is computed on its own, so
+these are bit for bit the rows built for length n. An entry, dcg and ndcg
+read these views, so no call builds them again.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -118,46 +122,34 @@ def prefix_counts(ranked: RankedList) -> np.ndarray:
 # discount log2(i + 1) and the NDKL weight 1 / log2(i + 1)
 _Rows = namedtuple("_Rows", "positions clamps discount weights")
 
-_rows = _Rows(*(_freeze(np.empty(0)) for _ in _Rows._fields))
+
+@functools.cache
+def _rows_of(size: int) -> _Rows:
+    positions = np.arange(1.0, size + 1)
+    discount = np.log2(positions + 1)
+    return _Rows(*map(_freeze, (positions, SKEW_EPSILON / positions, discount, 1.0 / discount)))
 
 
 def _prefix_rows(n: int) -> _Rows:
-    """The kept prefix-length rows, as read-only views of their first n entries.
-
-    Every entry is computed on its own, so the first n entries of a longer
-    row are those of a row built for n. The rows grow to at least twice
-    their length, and a longer set replaces the kept one in a single rebind,
-    so every call slices one consistent set, whatever another thread does.
-    Two threads growing at once may each build a set and the shorter one may
-    be kept; that costs a rebuild, never a result.
-    """
-    global _rows
-    rows = _rows
-    if rows.positions.size < n:
-        positions = np.arange(1.0, max(n, 2 * rows.positions.size) + 1)
-        discount = np.log2(positions + 1)
-        rows = _rows = _Rows(
-            *map(_freeze, (positions, SKEW_EPSILON / positions, discount, 1.0 / discount))
-        )
+    """The kept prefix-length rows, as read-only views of their first n entries."""
+    rows = _rows_of(1 << (n - 1).bit_length())
     return _Rows(rows.positions[:n], rows.clamps[:n], rows.discount[:n], rows.weights[:n])
 
 
 class _Pair:
-    """A (list, distribution) pair and its lazy read-only tables.
+    """One list's (n,) or a batch's (m, n) attribute indices, a distribution and their tables.
 
-    Every table is attribute-major, (..., num_attrs, n), and column i covers
-    the top i + 1; there is no floor table. run_task's batch entry has no
-    list: it is given its (m, num_attrs, n) counts, and keyword tables win
-    over the lazy ones.
+    Each table is built on first use and read-only. Every table is
+    attribute-major, (..., num_attrs, n), and column i covers the top i + 1;
+    there is no floor table.
     """
 
-    def __init__(self, ranked: RankedList | None, desired: DesiredDistribution | None, **tables):
-        self.ranked, self.desired = ranked, desired
-        vars(self).update(tables)
+    def __init__(self, attributes: np.ndarray, desired: DesiredDistribution):
+        self.attributes, self.desired = attributes, desired
 
     @_lazy
     def counts(self) -> np.ndarray:
-        return _freeze(_cumulative(self.ranked.attributes, len(self.ranked.labels)))
+        return _freeze(_cumulative(self.attributes, len(self.desired)))
 
     @_lazy
     def rows(self) -> _Rows:
@@ -190,23 +182,14 @@ class _Pair:
         return _freeze(below_floor(self.counts, products))
 
 
-_last = _Pair(None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _pair(ranked: RankedList, desired: DesiredDistribution) -> _Pair:
-    """The memo entry of this pair; a new pair replaces the last once its labels match.
-
-    Each call reads the entry it got, so a thread race costs at most a rebuild.
-    """
-    global _last
-    entry = _last
-    if entry.ranked is not ranked or entry.desired is not desired:
-        if ranked.labels != desired.labels:
-            raise SupportMismatch(
-                f"ranked labels {ranked.labels!r} do not match desired labels {desired.labels!r}"
-            )
-        entry = _last = _Pair(ranked, desired)
-    return entry
+    """The entry of this pair, once its labels match; the last pair's entry is kept."""
+    if ranked.labels != desired.labels:
+        raise SupportMismatch(
+            f"ranked labels {ranked.labels!r} do not match desired labels {desired.labels!r}"
+        )
+    return _Pair(ranked.attributes, desired)
 
 
 def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (
     UnknownAttribute,
     ValidationError,
 )
-from .quota import ceil_quotas, floor_quotas, prefix_products
+from .quota import ceil_quotas, floor_quotas
 
 NORMALIZATION_TOL = 1e-9
 
@@ -260,14 +260,15 @@ class RankingTask:
         """The task's quotas and pools, built on first use and shared by every ranking.
 
         floors and ceils are the read-only int64 tables floor(k * p_a) and
-        ceil(k * p_a), both rounded from one prefix_products table, row i for
-        k = i + 1, over k_max + n + 2 rows (DetConstSort's counter bound);
+        ceil(k * p_a), both rounded from one np.outer table of k * p_a, row i
+        for k = i + 1, over k_max + n + 2 rows (DetConstSort's counter bound);
         floor_rows and ceil_rows are the same as lists. Each pool is a
         read-only memoryview of the task's one score copy, the pool's scores
         and the -inf sentinel after them, so a ranking reads in place only
         the candidates it places, each as a Python float.
         """
-        products = prefix_products(self.desired.proportions, self.k_max + len(self.desired) + 2)
+        ks = np.arange(1.0, self.k_max + len(self.desired) + 3)
+        products = np.outer(ks, self.desired.proportions)
         floors, ceils = _freeze(floor_quotas(products)), _freeze(ceil_quotas(products))
         padded = memoryview(self.pool.scores[0].base)  # every pool is a view of it
         pools, i = [], 0

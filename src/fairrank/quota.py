@@ -19,21 +19,17 @@ distance.
 
 Quotas round in one place: every table of k * p_a goes through these
 helpers. The per-task table the re-rankers share (model.RankingTask.table)
-rounds prefix_products. The metrics only ask whether a count is below its
-floor, and below_floor asks it by floor_quotas' own fraction test in
-comparison form, exact for the same reason (its docstring has the proof).
-Their products p_a * k are the bits of prefix_products, since multiplication
-commutes, so the algorithms and the metrics agree on every quota.
+rounds the products np.outer(k, p), whose row for prefix length k holds
+k * p_a. The metrics only ask whether a count is below its floor, and
+below_floor asks it by floor_quotas' own fraction test in comparison form,
+exact for the same reason (its docstring has the proof). Their products
+p_a * k are the bits of that np.outer row, since multiplication commutes,
+so the algorithms and the metrics agree on every quota.
 """
 
 import numpy as np
 
 SNAP_TOL = 1e-12
-
-
-def prefix_products(p, n_rows: int) -> np.ndarray:
-    """(n_rows, len(p)) float64 table of k * p_a; row i is prefix length k = i + 1."""
-    return np.outer(np.arange(1, n_rows + 1, dtype=np.float64), p)
 
 
 def floor_quotas(x: np.ndarray) -> np.ndarray:

@@ -256,10 +256,15 @@ def _rank_det_const_sort(task: RankingTask, fallback: bool):
     return attrs, scores, events
 
 
-def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
-    """(attributes, scores, fallback_events) of algo's ranking of task, unchecked."""
+def _check_fallback(fallback) -> bool:
+    """fallback itself, once it is True or False (ValidationError otherwise)."""
     if not isinstance(fallback, (bool, np.bool_)):  # "no" must not turn fallback on
         raise ValidationError(f"fallback must be True or False, got {fallback!r}")
+    return fallback
+
+
+def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
+    """(attributes, scores, fallback_events) of algo's ranking of task, all unchecked."""
     if algo is Algorithm.VANILLA:
         return _rank_vanilla(task)
     if algo is Algorithm.DET_CONST_SORT:
@@ -269,7 +274,8 @@ def _rank_columns(task: RankingTask, algo: Algorithm, fallback: bool):
 
 def rank(task: RankingTask, algorithm, fallback: bool = False) -> RankedList:
     """Rank a task with the named algorithm; fallback must be True or False."""
-    attrs, scores, events = _rank_columns(task, coerce_algorithm(algorithm), fallback)
+    algo = coerce_algorithm(algorithm)
+    attrs, scores, events = _rank_columns(task, algo, _check_fallback(fallback))
     return RankedList(
         labels=task.desired.labels,
         attributes=_freeze(np.asarray(attrs, dtype=np.int64)),

@@ -28,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
-from .metrics import _columns, _cumulative, _Pair
+from .metrics import _columns, _Pair
 from .model import DesiredDistribution, RankingTask, ScoredPool, _as_list, _freeze, _is_int
-from .rerank import _CANONICAL_ORDER, Algorithm, _rank_columns, coerce_algorithm
+from .rerank import _CANONICAL_ORDER, Algorithm, _check_fallback, _rank_columns, coerce_algorithm
 
 CSV_HEADER = (
     "num_attr,algorithm,mean_infeasible_index,mean_infeasible_count,"
@@ -145,6 +145,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     names or Algorithms (ValidationError otherwise, also for one bare name),
     and fallback must be True or False.
     """
+    _check_fallback(fallback)
     rankings: dict[Algorithm, tuple] = {}
     failures: dict[Algorithm, str] = {}
     for algo in _as_list(algorithms, "algorithms"):
@@ -156,8 +157,7 @@ def run_task(task: RankingTask, algorithms, fallback: bool = False) -> TaskOutco
     if not rankings:
         return TaskOutcome({}, failures)
     attrs, scores, _ = zip(*rankings.values())
-    cum = _cumulative(np.array(attrs, dtype=np.int64), len(task.desired))
-    tables = _Pair(None, task.desired, counts=cum)
+    tables = _Pair(np.array(attrs, dtype=np.int64), task.desired)
     columns = _columns(tables, np.array(scores, dtype=np.float64), task.k_max, task.merged[1])
     return TaskOutcome(dict(zip(rankings, np.column_stack(columns))), failures)
 

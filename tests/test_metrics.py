@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import math
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,7 +729,7 @@ class TestLogShareMemo:
     def test_measure_keeps_attribute_major_tables(self):
         ranked, desired = random_case(np.random.default_rng(59), 4, 30)
         fr.measure(ranked, desired)
-        kept = vars(fr.metrics._last)
+        kept = vars(fr.metrics._pair(ranked, desired))
         for name in ("logs", "shares", "violations"):
             table = kept[name]
             assert table.shape == (4, 30), name
@@ -776,7 +778,9 @@ class TestLogShareMemo:
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.measure(ranked, zero)
         tables = {"counts", "shares", "logs", "violations"}
-        assert not tables & vars(fr.metrics._last).keys()
+        hits = fr.metrics._pair.cache_info().hits
+        assert not tables & vars(fr.metrics._pair(ranked, zero)).keys()
+        assert fr.metrics._pair.cache_info().hits == hits + 1  # the entry measure kept
 
     def test_keeps_at_most_one_pair_alive(self):
         rng = np.random.default_rng(47)
@@ -812,13 +816,17 @@ for seed, length in [tuple(map(int, case.split(":"))) for case in sys.argv[1:]]:
 class TestPrefixRows:
     """Rows that depend only on prefix length are kept once per process and never handed out."""
 
-    def kept_rows(self):
-        return tuple(fr.metrics._rows)
+    def kept_rows(self, n):
+        """The kept rows that _prefix_rows(n) slices."""
+        return tuple(row.base for row in fr.metrics._prefix_rows(n))
 
     def test_rows_are_read_only(self):
         fr.measure(*random_case(np.random.default_rng(71), 3, 700))
-        kept = self.kept_rows()
-        assert kept[0].size >= 700
+        kept = self.kept_rows(700)
+        for n in (1, 2, 3, 700, 1000, 1025):
+            # the rows of the power of two at or above n
+            size = self.kept_rows(n)[0].size
+            assert n <= size < 2 * n and size & (size - 1) == 0, (n, size)
         for row in kept + tuple(fr.metrics._prefix_rows(5)):
             assert not row.flags.writeable
             with pytest.raises(ValueError):
@@ -826,7 +834,7 @@ class TestPrefixRows:
 
     def test_rows_match_rows_built_for_each_length(self):
         fr.measure(*random_case(np.random.default_rng(73), 2, 1000))
-        for n in (0, 1, 7, 128, 999, 1000):
+        for n in (0, 1, 2, 3, 7, 128, 999, 1000, 1023, 1024, 1025, 2049):
             positions, clamps, discount, weights = fr.metrics._prefix_rows(n)
             fresh = np.arange(1.0, n + 1)
             assert bits(positions) == bits(fresh)
@@ -839,7 +847,7 @@ class TestPrefixRows:
         report = fr.measure(ranked, desired)
         returned = [report.skew, fr.prefix_counts(ranked)]
         returned += [fr.skews_at_k(ranked, desired, k) for k in (1, 150, 300)]
-        for row in self.kept_rows():
+        for row in self.kept_rows(300):
             for array in returned:
                 assert not np.shares_memory(array, row)
 
@@ -854,9 +862,8 @@ class TestPrefixRows:
         assert run(long, short) == fresh
         assert run(short, long) == fresh
 
-    def test_threads_growing_and_reading_see_one_length(self, monkeypatch):
-        empty = fr.metrics._rows._make(np.empty(0) for _ in fr.metrics._rows)
-        monkeypatch.setattr(fr.metrics, "_rows", empty)
+    def test_threads_growing_and_reading_see_one_length(self):
+        fr.metrics._rows_of.cache_clear()
         lengths = [1 + (37 * i) % 2000 for i in range(200)]
         errors, rounds, epsilon = [], [0, 0], fr.metrics.SKEW_EPSILON
         deadline = time.monotonic() + 1.0
@@ -865,7 +872,7 @@ class TestPrefixRows:
             try:
                 while time.monotonic() < deadline:
                     if t == 0:
-                        fr.metrics._rows = empty  # start the growth over
+                        fr.metrics._rows_of.cache_clear()  # start the growth over
                     for n in lengths:
                         positions, clamps, discount, weights = fr.metrics._prefix_rows(n)
                         sizes = {positions.size, clamps.size, discount.size, weights.size}
@@ -889,3 +896,15 @@ class TestPrefixRows:
         assert not any(thread.is_alive() for thread in threads)
         assert all(rounds), rounds
         assert errors == []
+
+
+def test_no_module_of_the_package_has_a_global_statement():
+    """What a module keeps between calls is a functools cache or a _lazy table, never a rebind."""
+    package = Path(fr.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

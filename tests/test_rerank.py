@@ -390,6 +390,8 @@ class TestFallback:
             fr.rank(task, "detgreedy", fallback=flag)
         with pytest.raises(fr.ValidationError, match="fallback"):
             fr.run_task(task, ["detgreedy"], fallback=flag)
+        with pytest.raises(fr.ValidationError, match="fallback"):
+            fr.run_task(task, [], fallback=flag)
 
     def test_numpy_bool_fallback_accepted(self):
         task = self.exhausting_task()
