@@ -40,15 +40,19 @@ k are column k - 1, and NDKL's KL terms are (c_ia / i) * L[a, i - 1].
 
 Every per-prefix table comes from one producer, a _Pair entry of attribute
 indices and a distribution, which builds its prefix counts, shares c_ia / i,
-log-share matrix and floor-violation mask, each on first use and read-only;
-there is no floor table. The tables are attribute-major, (num_attrs, n) with
-column i - 1 covering the top i, so every per-prefix op and every sum over
-attributes runs along the long prefix axis. The memo is _pair, an
-lru_cache(maxsize=1) over (list, distribution): it keeps the entry of the
-last pair, so a chain of metric calls on that pair, measure among them,
-checks labels once and builds each table it needs once. run_task builds its
-batch entry from the rankings' (m, n) attribute indices, and the entry
-builds every table the same way, broadcast over the m lists.
+log-share matrix, floor-violation mask and infeasible row (the mask reduced
+over attributes, read by measure and infeasible_prefixes), each on first
+use and read-only; there is no floor table. The tables are attribute-major,
+(num_attrs, n) with column i - 1 covering the top i, so every per-prefix op
+and every sum over attributes runs along the long prefix axis. Reductions
+call the ufuncs' own reduce (_sum, _any, _all, _min, _max), the C loops the
+ndarray methods wrap in Python: the same bits, fewer calls. The memo is
+_pair, an lru_cache(maxsize=1) over (list, distribution): it keeps the
+entry of the last pair, so a chain of metric calls on that pair, measure
+among them, checks labels once and builds each table it needs once.
+run_task builds its batch entry from the rankings' (m, n) attribute
+indices, and the entry builds every table the same way, broadcast over the
+m lists.
 Lists and distributions own read-only arrays and label tuples, so no result
 depends on what is kept, and every array a caller gets back is its own copy,
 never a view into a kept table.
@@ -96,11 +100,20 @@ SKEW_EPSILON = 1e-6
 
 DEFAULT_DEPTH = 100
 
+# the ufuncs' own reductions, which ndarray.sum, any, all, min and max wrap in Python
+_sum, _any, _all = np.add.reduce, np.logical_or.reduce, np.logical_and.reduce
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
 
 def _check_depth(k, n: int) -> int:
     if not _is_int(k) or k < 1 or k > n:
         raise KOutOfRange(f"k must be in 1..{n}, got {k!r}")
     return int(k)
+
+
+@functools.cache
+def _attribute_column(num_attrs: int) -> np.ndarray:
+    return _freeze(np.arange(num_attrs)[:, None])
 
 
 def _cumulative(attrs: np.ndarray, num_attrs: int) -> np.ndarray:
@@ -109,7 +122,7 @@ def _cumulative(attrs: np.ndarray, num_attrs: int) -> np.ndarray:
     Column i covers the top i + 1. The one-hot is built as int64 and
     accumulated in place, so the sum runs with no buffered bool-to-int64 cast.
     """
-    counts = (attrs[..., None, :] == np.arange(num_attrs)[:, None]).astype(np.int64)
+    counts = (attrs[..., None, :] == _attribute_column(num_attrs)).astype(np.int64)
     return np.add.accumulate(counts, axis=-1, out=counts)
 
 
@@ -158,7 +171,7 @@ class _Pair:
 
     @_lazy
     def positive(self) -> bool:
-        return bool(self.desired.proportions.min() > 0)
+        return min(self.desired.proportions.tolist()) > 0
 
     @_lazy
     def shares(self) -> np.ndarray:
@@ -180,6 +193,10 @@ class _Pair:
         # p_a * i is i * p_a bit for bit, so this is the quota module's floor test
         products = self.desired.proportions[:, None] * self.rows.positions
         return _freeze(below_floor(self.counts, products))
+
+    @_lazy
+    def infeasible(self) -> np.ndarray:
+        return _freeze(_any(self.violations, axis=-2))
 
 
 @functools.lru_cache(maxsize=1)
@@ -270,7 +287,7 @@ def _ndkl(tables: _Pair) -> np.ndarray:
     for one list or a batch.
     """
     weights = tables.rows.weights
-    return ((tables.shares * tables.logs).sum(axis=-2) * weights).sum(axis=-1) / weights.sum()
+    return _sum(_sum(tables.shares * tables.logs, axis=-2) * weights, axis=-1) / _sum(weights)
 
 
 def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
@@ -314,17 +331,17 @@ def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
     ideal = _score_vector(ideal_scores, "ideal scores")
     if ideal.size < n:
         raise LengthMismatch(f"ideal has {ideal.size} scores, list has {n}")
-    if not (ideal[:-1] >= ideal[1:]).all():
+    if not _all(ideal[:-1] >= ideal[1:]):
         raise ValidationError("ideal scores must be sorted non-increasing, with no NaN")
     if n == 0:
         return np.ones(s.shape[:-1])
     prefix = ideal[:n]
     # s is finite; a sorted prefix has its min last and its max first; NaN fails every comparison
-    if not (0 <= s.min() and 0 <= prefix[-1] and prefix[0] < np.inf):
+    if not (0 <= _min(s, axis=None) and 0 <= prefix[-1] and prefix[0] < np.inf):
         raise ValidationError(_NDCG_GAINS)
-    num = (s / discount).sum(axis=-1)
-    den = (prefix / discount).sum()
-    if den == 0.0 and num.any():
+    num = _sum(s / discount, axis=-1)
+    den = _sum(prefix / discount)
+    if den == 0.0 and _any(num, axis=None):
         raise ZeroDenominator("ideal DCG is zero but the list has positive gain")
     return num / den if den else np.ones(s.shape[:-1])
 
@@ -350,7 +367,7 @@ def ndcg(ranked, ideal_scores) -> float:
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
-    return np.flatnonzero(_pair(ranked, desired).violations.any(axis=0)) + 1
+    return np.flatnonzero(_pair(ranked, desired).infeasible) + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
@@ -417,10 +434,10 @@ def _columns(tables: _Pair, scores: np.ndarray, k: int, ideal):
     violations = tables.violations
     skew = tables.logs[..., k - 1]
     return (
-        violations.any(axis=-2).sum(axis=-1),
-        violations.sum(axis=(-2, -1)),
-        skew.min(axis=-1, initial=0.0),
-        skew.max(axis=-1, initial=0.0),
+        _sum(tables.infeasible, axis=-1),
+        _sum(violations, axis=(-2, -1)),
+        _min(skew, axis=-1, initial=0.0),
+        _max(skew, axis=-1, initial=0.0),
         _ndkl(tables),
         _ndcg_rows(scores[..., :k], ideal, tables.rows.discount[:k]),
     )

@@ -31,6 +31,9 @@ from .quota import ceil_quotas, floor_quotas
 
 NORMALIZATION_TOL = 1e-9
 
+# the least normal float64: a desired proportion below it, but above 0, overflows the skew's ratio
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -84,10 +87,10 @@ class DesiredDistribution:
     """Target proportions over attribute values, index-aligned with labels.
 
     Construction requires at least one label, unique string labels, and one
-    finite, non-negative proportion per label summing to 1 within
-    NORMALIZATION_TOL (ValidationError or DistributionNotNormalized
-    otherwise). It stores the labels as a tuple and the proportions as a
-    frozen float64 copy.
+    proportion per label, 0 or a finite normal float > 0 (a subnormal one
+    overflows the skew's ratio), summing to 1 within NORMALIZATION_TOL
+    (ValidationError or DistributionNotNormalized otherwise). It stores the
+    labels as a tuple and the proportions as a frozen float64 copy.
     """
 
     labels: tuple[str, ...]
@@ -104,8 +107,8 @@ class DesiredDistribution:
             raise ValidationError("duplicate attribute labels in distribution")
         if p.ndim != 1 or len(p) != len(labels):
             raise ValidationError("proportions must be one value per label")
-        if not np.all(np.isfinite(p)) or np.any(p < 0):
-            raise DistributionNotNormalized("proportions must be finite and non-negative")
+        if not all(x == 0 or _TINY <= x < np.inf for x in p.tolist()):
+            raise DistributionNotNormalized("proportions must be finite, non-negative and 0 or normal")
         if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
             raise DistributionNotNormalized(f"proportions sum to {float(p.sum()):.12f}, expected 1")
         object.__setattr__(self, "labels", labels)

@@ -308,6 +308,11 @@ class TestMeasureCommand:
         records = [{"position": 1, "attribute": "a", "score": 0.5}]
         assert self.measure(tmp_path, records, {"a": 0.7, "b": 0.7}).returncode == 2
 
+    def test_subnormal_desired_rejected(self, tmp_path):
+        # used to exit 0 and write NaN and Infinity, which are not JSON
+        records = [{"position": i, "attribute": "a", "score": 0.5} for i in (1, 2)]
+        assert_one_error_line(self.measure(tmp_path, records, {"a": 1.0, "b": 5e-324}))
+
     def test_negative_score_rejected(self, tmp_path):
         records = [
             {"position": 1, "attribute": "a", "score": 0.5},

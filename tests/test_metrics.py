@@ -782,6 +782,23 @@ class TestLogShareMemo:
         assert not tables & vars(fr.metrics._pair(ranked, zero)).keys()
         assert fr.metrics._pair.cache_info().hits == hits + 1  # the entry measure kept
 
+    def test_measure_keeps_the_infeasible_row_and_infeasible_prefixes_reads_it(self, monkeypatch):
+        reduced = []
+        real = fr.metrics._any
+        monkeypatch.setattr(fr.metrics, "_any", lambda *a, **kw: reduced.append(1) or real(*a, **kw))
+        ranked, desired = random_case(np.random.default_rng(61), 5, 200)
+        fr.measure(ranked, desired)
+        entry = fr.metrics._pair(ranked, desired)
+        row = vars(entry)["infeasible"]
+        assert row.shape == (200,) and not row.flags.writeable
+        assert bits(row) == bits(entry.violations.any(axis=0)) and row.any()
+        assert reduced == [1]
+        warm = fr.infeasible_prefixes(ranked, desired)
+        assert reduced == [1]  # no second reduction over the attributes
+        assert bits(warm) == bits(fr.infeasible_prefixes(*copies(ranked, desired)))
+        assert reduced == [1, 1]  # the cold call reduces once
+        assert not np.shares_memory(warm, row)
+
     def test_keeps_at_most_one_pair_alive(self):
         rng = np.random.default_rng(47)
         ranked, desired = random_case(rng, 3, 30)
@@ -791,6 +808,69 @@ class TestLogShareMemo:
         fr.ndkl(*random_case(rng, 3, 30))
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+def method_form_columns(attrs, desired, scores, k, ideal):
+    """The metrics core's columns at depth k, every reduction by its ndarray method.
+
+    attrs and scores are one list's (n,) or a batch's (m, n). The tables come
+    from a fresh entry; these expressions are the ones the core made before it
+    called the ufuncs' own reductions.
+    """
+    entry = fr.metrics._Pair(attrs, desired)
+    violations, skew, weights = entry.violations, entry.logs[..., k - 1], entry.rows.weights
+    discount, prefix = entry.rows.discount[:k], ideal[:k]
+    num, den = (scores[..., :k] / discount).sum(axis=-1), (prefix / discount).sum()
+    return (
+        violations.any(axis=-2).sum(axis=-1),
+        violations.sum(axis=(-2, -1)),
+        skew.min(axis=-1, initial=0.0),
+        skew.max(axis=-1, initial=0.0),
+        ((entry.shares * entry.logs).sum(axis=-2) * weights).sum(axis=-1) / weights.sum(),
+        num / den,
+    )
+
+
+@st.composite
+def audited_lists(draw):
+    """A list over 1-10 attributes, of length 1-300, drifted off its distribution; an ideal; a depth."""
+    n, length = draw(st.integers(1, 10)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranked, desired = random_case(rng, n, length)
+    drift = 0.7 * desired.proportions + 0.3 * rng.dirichlet(np.ones(n))
+    attrs = rng.choice(n, size=length, p=drift / drift.sum())
+    ranked = fr.RankedList(ranked.labels, attrs, ranked.scores)
+    ideal = np.sort(np.concatenate([ranked.scores, rng.random(rng.integers(0, length + 1))]))[::-1]
+    return ranked, desired, ideal, draw(st.integers(1, length))
+
+
+class TestUfuncReductions:
+    """The core's ufunc reductions give the bits of the ndarray methods they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(audited_lists())
+    @example((*THIRDS_ABOVE_SHARE, np.ones(6), 6))
+    def test_measure_matches_the_method_form(self, case):
+        ranked, desired, ideal, k = case
+        want = method_form_columns(ranked.attributes, desired, ranked.scores, k, ideal)
+        report = fr.measure(ranked, desired, ideal_scores=ideal, k=k)
+        got = (report.infeasible_index, report.infeasible_count, report.min_skew,
+               report.max_skew, report.ndkl, report.ndcg)
+        assert [bits(value) for value in got] == [bits(column.item()) for column in want]
+        assert bits(fr.ndkl(ranked, desired)) == bits(want[4].item())
+        prefixes = np.flatnonzero(fr.metrics._Pair(ranked.attributes, desired).violations.any(axis=0))
+        assert bits(fr.infeasible_prefixes(ranked, desired)) == bits(prefixes + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_run_task_rows_match_the_method_form(self, n, k, seed):
+        task = random_task(np.random.default_rng(seed), n, pool_size=k, k=k)
+        rows = fr.run_task(task, list(fr.Algorithm), fallback=True).rows
+        ranked = [fr.rank(task, algo, True) for algo in rows]
+        attrs = np.array([r.attributes for r in ranked])
+        scores = np.array([r.scores for r in ranked])
+        want = np.column_stack(method_form_columns(attrs, task.desired, scores, k, task.merged[1]))
+        assert [row.tobytes() for row in rows.values()] == [row.tobytes() for row in want]
 
 
 # prints the exact bits of every metric of each (seed, length) case, measured in the given order

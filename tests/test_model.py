@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairrank as fr
-from conftest import make_task
+from conftest import make_ranked, make_task
 
 
 class TestEmpiricalDistribution:
@@ -34,6 +35,11 @@ class TestEmpiricalDistribution:
     def test_negative_count_rejected(self):
         with pytest.raises(fr.ValidationError):
             fr.empirical_distribution({"a": -1, "b": 2})
+
+    def test_count_that_normalizes_to_a_subnormal_rejected(self):
+        # 1e-320 / 1.0 is subnormal: measure gave ndkl NaN and max_skew inf
+        with pytest.raises(fr.DistributionNotNormalized):
+            fr.empirical_distribution({"a": 1.0, "b": 1e-320})
 
     @given(
         st.dictionaries(
@@ -66,9 +72,11 @@ class TestDesiredDistribution:
             (["x", "y"], fr.ValidationError),
             ([True, False], fr.ValidationError),  # used to read as [1.0, 0.0]
             (["0.5", "0.5"], fr.ValidationError),  # used to read as [0.5, 0.5]
+            ([1.0, 5e-324], fr.DistributionNotNormalized),  # used to give ndkl NaN, max_skew inf
+            ([1.0, 1e-310], fr.DistributionNotNormalized),  # subnormal, though its skew is finite
         ],
         ids=["short", "nan", "unnormalized", "negative", "long", "2-D", "non-numeric", "bool",
-             "numeric-string"],
+             "numeric-string", "least-subnormal", "subnormal"],
     )
     def test_malformed_proportions_rejected_at_construction(self, proportions, error):
         with pytest.raises(error):
@@ -88,6 +96,14 @@ class TestDesiredDistribution:
         # an int label would be ambiguous: skew_at_k reads any int as an index
         with pytest.raises(fr.ValidationError):
             fr.DesiredDistribution(labels=labels, proportions=[1 / len(labels)] * len(labels))
+
+    @pytest.mark.parametrize("small", [float(np.finfo(np.float64).tiny), 0.0])
+    def test_least_normal_and_zero_proportions_accepted(self, small):
+        d = fr.DesiredDistribution(labels=("a", "b"), proportions=[1.0, small])
+        assert d.proportions.tolist() == [1.0, small]
+        if small:  # every ratio stays below 1 / tiny, so the skews are finite
+            report = fr.measure(make_ranked("aa", ("a", "b")), d)
+            assert math.isfinite(report.ndkl) and math.isfinite(report.max_skew)
 
     def test_malformed_mapping_rejected(self):
         with pytest.raises(fr.DistributionNotNormalized):
