@@ -367,7 +367,7 @@ def ndcg(ranked, ideal_scores) -> float:
 
 def infeasible_prefixes(ranked: RankedList, desired: DesiredDistribution) -> np.ndarray:
     """1-based prefix lengths k where some attribute is below floor(k * p_a)."""
-    return np.flatnonzero(_pair(ranked, desired).infeasible) + 1
+    return _pair(ranked, desired).infeasible.nonzero()[0] + 1
 
 
 def infeasible_index(ranked: RankedList, desired: DesiredDistribution) -> int:
