@@ -185,10 +185,7 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValidationError as exc:
+    except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RankingError as exc:

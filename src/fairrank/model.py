@@ -11,6 +11,7 @@ metrics can take any instance as well-formed.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -45,6 +46,15 @@ def _sealed(given, arr: np.ndarray) -> np.ndarray:
     if not arr.flags.owndata or (arr is given and arr.flags.writeable):
         arr = arr.copy()
     return _freeze(arr)
+
+
+def _check_proportions(p: np.ndarray, what: str) -> None:
+    """DistributionNotNormalized unless every entry of p is 0 or a finite normal float > 0.
+
+    One Python pass, with no numpy call; a subnormal entry overflows a ratio over it.
+    """
+    if not all(x == 0 or _TINY <= x < np.inf for x in p.tolist()):
+        raise DistributionNotNormalized(f"{what} must be finite, non-negative and 0 or normal")
 
 
 def _is_int(x) -> bool:
@@ -107,8 +117,7 @@ class DesiredDistribution:
             raise ValidationError("duplicate attribute labels in distribution")
         if p.ndim != 1 or len(p) != len(labels):
             raise ValidationError("proportions must be one value per label")
-        if not all(x == 0 or _TINY <= x < np.inf for x in p.tolist()):
-            raise DistributionNotNormalized("proportions must be finite, non-negative and 0 or normal")
+        _check_proportions(p, "proportions")
         if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
             raise DistributionNotNormalized(f"proportions sum to {float(p.sum()):.12f}, expected 1")
         object.__setattr__(self, "labels", labels)
@@ -158,26 +167,6 @@ class ScoredPool:
     def total(self) -> int:
         """Number of candidates across all attribute values."""
         return sum(len(s) for s in self.scores)
-
-
-class _lazy:
-    """A table built on its first read and kept in the instance dict, so later reads skip it.
-
-    functools.cached_property does the same, but before Python 3.12 it takes
-    a lock on every first read. A racing thread may build a table twice; both
-    builds are equal, so which one is kept does not matter, but two reads
-    that race on the first build may get different objects: `x.table is
-    x.table` holds once a first read has finished.
-    """
-
-    def __init__(self, build):
-        self.build, self.name = build, build.__name__
-
-    def __get__(self, entry, owner=None):
-        if entry is None:
-            return self
-        value = vars(entry)[self.name] = self.build(entry)
-        return value
 
 
 # the -inf written after each pool of a RankingTask's score copy
@@ -258,7 +247,7 @@ class RankingTask:
     def __reduce__(self):  # pickle and deepcopy rebuild, and so re-freeze, through the constructor
         return type(self), (self.desired, self.pool, self.k_max)
 
-    @_lazy
+    @functools.cached_property
     def table(self) -> TaskTable:
         """The task's quotas and pools, built on first use and shared by every ranking.
 
@@ -281,7 +270,7 @@ class RankingTask:
             i = j
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
-    @_lazy
+    @functools.cached_property
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
         """Every candidate's (attribute, score) by descending score, built on first use.
 

@@ -169,6 +169,11 @@ class TestKlDivergence:
     def test_normalized_within_tolerance_accepted(self):
         assert fr.kl_divergence([0.5, 0.5 + 1e-10], [0.5, 0.5]) >= 0.0
 
+    @pytest.mark.parametrize("tail", [5e-324, 1e-310], ids=["5e-324", "1e-310"])
+    def test_subnormal_proportion_rejected(self, tail):
+        with pytest.raises(fr.DistributionNotNormalized, match="normal"):
+            fr.kl_divergence([0.5, 0.5], [1.0, tail])
+
     @given(
         st.integers(1, 6).flatmap(
             lambda n: st.tuples(
@@ -747,21 +752,21 @@ class TestLogShareMemo:
             with pytest.raises(fr.ZeroDesiredProportion):
                 fr.measure(ranked, desired)
 
-    def test_a_cold_skew_query_rounds_no_floors(self, monkeypatch):
+    def test_a_chain_of_calls_on_one_pair_rounds_floors_once(self, monkeypatch):
         rounded = []
         real = fr.metrics.below_floor
         monkeypatch.setattr(fr.metrics, "below_floor", lambda c, x: rounded.append(1) or real(c, x))
         ranked, desired = random_case(np.random.default_rng(43), 3, 30)
         fr.min_skew_at_k(ranked, desired, 10)
+        assert rounded == [1]
         fr.skews_at_k(ranked, desired, 30)
         fr.ndkl(ranked, desired)
-        assert rounded == []
         fr.infeasible_prefixes(ranked, desired)
         fr.infeasible_count(ranked, desired)
         fr.measure(ranked, desired)
         assert rounded == [1]
 
-    def test_checks_run_in_order_before_any_table_is_built(self):
+    def test_checks_run_in_order(self):
         ranked = make_ranked("abab", ("a", "b"))
         zero = fr.DesiredDistribution.from_mapping({"a": 1.0, "b": 0.0})
         other = fr.DesiredDistribution.from_mapping({"a": 0.5, "c": 0.5})
@@ -774,13 +779,35 @@ class TestLogShareMemo:
             fr.measure(empty, zero)
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.max_skew_at_k(ranked, zero, 2)
-        # measure used to build and keep the counts and floors before refusing
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.measure(ranked, zero)
-        tables = {"counts", "shares", "logs", "violations"}
         hits = fr.metrics._pair.cache_info().hits
-        assert not tables & vars(fr.metrics._pair(ranked, zero)).keys()
+        fr.metrics._pair(ranked, zero)
         assert fr.metrics._pair.cache_info().hits == hits + 1  # the entry measure kept
+
+    @pytest.mark.parametrize(
+        "ranked, desired",
+        [
+            random_case(np.random.default_rng(67), 4, 90),
+            (make_ranked("abab", ("a", "b", "c")),
+             fr.DesiredDistribution.from_mapping({"a": 0.5, "b": 0.5, "c": 0.0})),
+        ],
+        ids=["positive", "zero-proportion"],
+    )
+    def test_an_entry_holds_every_table_read_only(self, ranked, desired):
+        entry = fr.metrics._pair(ranked, desired)
+        cold = fr.metrics._Pair(ranked.attributes, desired)
+        # built in this order, the mask before the log-shares
+        names = ["counts", "rows", "positive", "violations", "infeasible", "shares", "logs"]
+        assert list(vars(entry)) == list(vars(cold)) == names
+        assert entry.positive is cold.positive is bool(desired.proportions.all())
+        arrays = [entry.counts, *entry.rows, entry.violations, entry.infeasible,
+                  entry.shares, entry.logs]
+        assert all(not array.flags.writeable for array in arrays)
+        assert [bits(array) for array in arrays] == [
+            bits(array) for array in (cold.counts, *cold.rows, cold.violations, cold.infeasible,
+                                      cold.shares, cold.logs)
+        ]
 
     def test_measure_keeps_the_infeasible_row_and_infeasible_prefixes_reads_it(self, monkeypatch):
         reduced = []
@@ -978,13 +1005,21 @@ class TestPrefixRows:
         assert errors == []
 
 
+def _rebinds_or_descriptor(node) -> bool:
+    """A global statement, or a class that defines __get__: a hand-rolled cache."""
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(f, ast.FunctionDef) and f.name == "__get__" for f in node.body)
+    return isinstance(node, ast.Global)
+
+
 def test_no_module_of_the_package_has_a_global_statement():
-    """What a module keeps between calls is a functools cache or a _lazy table, never a rebind."""
+    """What a module or an object keeps between calls is a functools cache, never a rebind
+    or a hand-rolled descriptor."""
     package = Path(fr.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Global)
+        if _rebinds_or_descriptor(node)
     ]
     assert found == []
