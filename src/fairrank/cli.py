@@ -12,11 +12,10 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Mapping
 
 from .errors import RankingError, ValidationError
 from .metrics import measure
-from .model import DesiredDistribution, RankedList, task_from_dict
+from .model import DesiredDistribution, RankedList, _as_mapping, task_from_dict
 from .rerank import Algorithm, rank
 from .simulate import SimulationConfig, run_grid, write_csv, write_diagnostics
 
@@ -72,9 +71,7 @@ def cmd_measure(args) -> int:
     records = _load_json(args.input)
     if not isinstance(records, list):
         raise ValidationError("ranked input must be a JSON array of rows")
-    desired_map = _load_json(args.desired)
-    if not isinstance(desired_map, Mapping):
-        raise ValidationError("desired input must be a JSON object of proportions")
+    desired_map = _as_mapping(_load_json(args.desired), "desired input")
     # zero-proportion values are dropped here, as a RankingTask drops them; a
     # ranked row carrying one then fails with UnknownAttribute
     desired = DesiredDistribution.from_mapping(

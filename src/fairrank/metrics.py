@@ -23,6 +23,8 @@ ndcg uses gain = raw score and discount 1 / log2(position + 1); the ideal
 is the same-length prefix of descending-sorted scores. Negative gains are
 rejected, since they can put ndcg outside [0, 1], and so are NaN or
 infinite gains and an ideal score vector that is not sorted descending.
+Finite gains whose DCG sum, or whose ndcg ratio, overflows float64 raise
+ValidationError too, as dcg does, instead of giving inf, NaN or 0.
 measure and simulate.run_task share one core that reduces the tables of
 one list, or of a batch of lists of one length, to one column per
 measure; measure is its batch of one and the only place a MetricsReport is
@@ -80,7 +82,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DistributionNotNormalized,
     KOutOfRange,
     LengthMismatch,
     SupportMismatch,
@@ -90,7 +91,6 @@ from .errors import (
     ZeroDesiredProportion,
 )
 from .model import (
-    NORMALIZATION_TOL,
     DesiredDistribution,
     RankedList,
     _as_float_array,
@@ -236,11 +236,9 @@ def max_skew_at_k(ranked: RankedList, desired: DesiredDistribution, k: int) -> f
 def kl_divergence(p, q) -> float:
     """d_KL(p || q) in nats for two categorical distributions on one support.
 
-    Each must be a non-empty vector of entries that are 0 or finite normal
-    floats > 0, as a DesiredDistribution's are, summing to 1 within
-    model.NORMALIZATION_TOL (DistributionNotNormalized otherwise). Terms with
-    p_i = 0 contribute 0; q_i = 0 where p_i > 0 is undefined and raises
-    ZeroDenominator.
+    Each must pass the check a DesiredDistribution's proportions pass
+    (DistributionNotNormalized otherwise). Terms with p_i = 0 contribute 0;
+    q_i = 0 where p_i > 0 is undefined and raises ZeroDenominator.
     """
     p = _as_float_array(p, "p")
     q = _as_float_array(q, "q")
@@ -248,10 +246,8 @@ def kl_divergence(p, q) -> float:
         raise ValidationError(f"p and q must be flat vectors, got shapes {p.shape} and {q.shape}")
     if p.shape != q.shape:
         raise SupportMismatch(f"supports differ: {p.shape} vs {q.shape}")
-    for name, v in (("p", p), ("q", q)):
-        _check_proportions(v, name)
-        if v.size == 0 or abs(float(v.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise DistributionNotNormalized(f"{name} must be non-empty and sum to 1, got {v!r}")
+    _check_proportions(p, "p")
+    _check_proportions(q, "q")
     if np.any((p > 0) & (q == 0)):
         raise ZeroDenominator("q is zero where p has mass")
     positive = p > 0
@@ -293,11 +289,13 @@ def _score_vector(values, what: str) -> np.ndarray:
 
 
 def dcg(scores) -> float:
-    """Discounted cumulative gain with gain = raw score; gains must be finite, may be negative."""
+    """DCG with gain = raw score; gains may be negative, but they and their sum must be finite."""
     s = _score_vector(scores, "scores")
-    if not np.isfinite(s).all():
-        raise ValidationError("dcg needs finite gains")
-    return float((s / _prefix_rows(s.size).discount).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead of warned of
+        total = float((s / _prefix_rows(s.size).discount).sum())
+    if not (np.isfinite(s).all() and np.isfinite(total)):
+        raise ValidationError("dcg needs finite gains whose sum does not overflow float64")
+    return total
 
 
 _NDCG_GAINS = "ndcg needs finite, non-negative gains in the list and ideal prefix"
@@ -320,11 +318,15 @@ def _ndcg_rows(s: np.ndarray, ideal_scores, discount) -> np.ndarray:
     # s is finite; a sorted prefix has its min last and its max first; NaN fails every comparison
     if not (0 <= _min(s, axis=None) and 0 <= prefix[-1] and prefix[0] < np.inf):
         raise ValidationError(_NDCG_GAINS)
-    num = _sum(s / discount, axis=-1)
-    den = _sum(prefix / discount)
-    if den == 0.0 and _any(num, axis=None):
-        raise ZeroDenominator("ideal DCG is zero but the list has positive gain")
-    return num / den if den else np.ones(s.shape[:-1])
+    try:
+        with np.errstate(over="raise"):
+            num = _sum(s / discount, axis=-1)
+            den = _sum(prefix / discount)
+            if den == 0.0 and _any(num, axis=None):
+                raise ZeroDenominator("ideal DCG is zero but the list has positive gain")
+            return num / den if den else np.ones(s.shape[:-1])
+    except FloatingPointError:
+        raise ValidationError("a DCG sum or the ndcg ratio overflows float64") from None
 
 
 def ndcg(ranked, ideal_scores) -> float:

@@ -49,12 +49,15 @@ def _sealed(given, arr: np.ndarray) -> np.ndarray:
 
 
 def _check_proportions(p: np.ndarray, what: str) -> None:
-    """DistributionNotNormalized unless every entry of p is 0 or a finite normal float > 0.
+    """DistributionNotNormalized unless flat p is non-empty and sums to 1 within NORMALIZATION_TOL.
 
-    One Python pass, with no numpy call; a subnormal entry overflows a ratio over it.
+    Each entry must be 0 or a normal float (a subnormal one overflows a ratio over it) of at
+    most 1 + NORMALIZATION_TOL, which no entry of a passing sum exceeds, so the sum is finite.
     """
-    if not all(x == 0 or _TINY <= x < np.inf for x in p.tolist()):
-        raise DistributionNotNormalized(f"{what} must be finite, non-negative and 0 or normal")
+    if not (p.size and all(x == 0 or _TINY <= x <= 1 + NORMALIZATION_TOL for x in p.tolist())):
+        raise DistributionNotNormalized(f"{what} must be non-empty, each 0 or a normal float <= 1")
+    if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
+        raise DistributionNotNormalized(f"{what} must sum to 1, got {float(p.sum()):.12f}")
 
 
 def _is_int(x) -> bool:
@@ -70,6 +73,13 @@ def _as_list(values, what: str, error=ValidationError) -> list:
         except TypeError:
             pass
     raise error(f"{what} must be a list, got {values!r}")
+
+
+def _as_mapping(obj, what: str) -> Mapping:
+    """obj itself, once it is a mapping (ValidationError otherwise)."""
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"{what} must be a mapping (a JSON object), got {type(obj).__name__}")
+    return obj
 
 
 def _as_float_array(values, what: str) -> np.ndarray:
@@ -96,11 +106,10 @@ def _as_float_array(values, what: str) -> np.ndarray:
 class DesiredDistribution:
     """Target proportions over attribute values, index-aligned with labels.
 
-    Construction requires at least one label, unique string labels, and one
-    proportion per label, 0 or a finite normal float > 0 (a subnormal one
-    overflows the skew's ratio), summing to 1 within NORMALIZATION_TOL
-    (ValidationError or DistributionNotNormalized otherwise). It stores the
-    labels as a tuple and the proportions as a frozen float64 copy.
+    Construction requires unique string labels and one proportion per label,
+    which together pass _check_proportions (ValidationError or
+    DistributionNotNormalized otherwise). It stores the labels as a tuple and
+    the proportions as a frozen float64 copy.
     """
 
     labels: tuple[str, ...]
@@ -109,8 +118,6 @@ class DesiredDistribution:
     def __post_init__(self):
         labels = tuple(self.labels)
         p = _freeze(_as_float_array(self.proportions, "desired proportions").copy())
-        if len(labels) == 0:
-            raise DistributionNotNormalized("distribution has no attribute values")
         if not all(isinstance(a, str) for a in labels):
             raise ValidationError(f"attribute labels must be strings, got {labels!r}")
         if len(set(labels)) != len(labels):
@@ -118,8 +125,6 @@ class DesiredDistribution:
         if p.ndim != 1 or len(p) != len(labels):
             raise ValidationError("proportions must be one value per label")
         _check_proportions(p, "proportions")
-        if abs(float(p.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise DistributionNotNormalized(f"proportions sum to {float(p.sum()):.12f}, expected 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "proportions", p)
 
@@ -128,6 +133,7 @@ class DesiredDistribution:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> DesiredDistribution:
+        mapping = _as_mapping(mapping, "desired distribution")
         return cls(labels=tuple(str(k) for k in mapping), proportions=list(mapping.values()))
 
     def as_mapping(self) -> dict[str, float]:
@@ -156,6 +162,7 @@ class ScoredPool:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Sequence[float]]) -> ScoredPool:
+        mapping = _as_mapping(mapping, "pools")
         labels = tuple(str(k) for k in mapping)
         scores = []
         for k, v in mapping.items():
@@ -243,6 +250,9 @@ class RankingTask:
         pool = ScoredPool(labels=tuple(labels), scores=tuple(padded[i : j - 1] for i, j in spans))
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "k_max", int(self.k_max))
+        # the score copy and each pool's span in it, sentinel included, for table and merged
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "_spans", spans)
 
     def __reduce__(self):  # pickle and deepcopy rebuild, and so re-freeze, through the constructor
         return type(self), (self.desired, self.pool, self.k_max)
@@ -262,12 +272,8 @@ class RankingTask:
         ks = np.arange(1.0, self.k_max + len(self.desired) + 3)
         products = np.outer(ks, self.desired.proportions)
         floors, ceils = _freeze(floor_quotas(products)), _freeze(ceil_quotas(products))
-        padded = memoryview(self.pool.scores[0].base)  # every pool is a view of it
-        pools, i = [], 0
-        for s in self.pool.scores:  # a plain loop: a generator costs more at k = 10
-            j = i + s.size + 1
-            pools.append(padded[i:j])
-            i = j
+        padded = memoryview(self._padded)
+        pools = [padded[i:j] for i, j in self._spans]
         return TaskTable(floors, ceils, floors.tolist(), ceils.tolist(), pools)
 
     @functools.cached_property
@@ -280,11 +286,10 @@ class RankingTask:
         entries and the scores are the ideal order NDCG is measured against.
         Kept off the table, so a vanilla ranking builds no quotas.
         """
-        lengths = [s.size + 1 for s in self.pool.scores]
-        padded = self.pool.scores[0].base
-        attrs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        padded, spans = self._padded, self._spans
+        attrs = np.repeat(np.arange(len(spans), dtype=np.int64), [j - i for i, j in spans])
         # the negated sentinels are +inf, so they sort last and are cut off
-        order = np.argsort(-padded, kind="stable")[: padded.size - len(lengths)]
+        order = np.argsort(-padded, kind="stable")[: padded.size - len(spans)]
         return _freeze(attrs[order]), _freeze(padded[order])
 
 
@@ -359,6 +364,7 @@ class RankedList:
         and not NaN. Attribute labels must appear in `labels`.
         """
         rows = _as_list(records, "ranked rows")
+        labels = _as_list(labels, "labels")
         if rows and all(isinstance(r, Mapping) and "position" in r for r in rows):
             try:
                 rows.sort(key=lambda r: r["position"])
@@ -391,16 +397,17 @@ def empirical_distribution(counts: Mapping[str, float]) -> DesiredDistribution:
     """Normalize raw attribute counts into a distribution.
 
     Label order follows the mapping's insertion order. Counts must be
-    non-negative and finite; a zero total has no distribution and raises
-    AllZeroCounts.
+    non-negative and finite, with a finite total; a zero total has no
+    distribution and raises AllZeroCounts.
     """
-    if not counts:
+    if not _as_mapping(counts, "counts"):
         raise AllZeroCounts("no counts given")
     labels = tuple(str(k) for k in counts)
     values = _as_float_array(list(counts.values()), "counts")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ValidationError("counts must be finite and non-negative")
-    total = values.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead of warned of
+        total = values.sum()
+    if not (np.isfinite(total) and values.min() >= 0):
+        raise ValidationError("counts must be finite, non-negative and sum without overflow")
     if total <= 0:
         raise AllZeroCounts("counts sum to zero")
     return DesiredDistribution(labels=labels, proportions=values / total)
@@ -417,13 +424,10 @@ def task_from_dict(obj) -> RankingTask:
     Expected shape: {"k": int, "desired": {label: proportion},
     "pools": {label: [score, ...]}}.
     """
-    if not isinstance(obj, Mapping):
-        raise ValidationError("task must be a JSON object")
+    obj = _as_mapping(obj, "task")
     missing = [key for key in ("k", "desired", "pools") if key not in obj]
     if missing:
         raise ValidationError(f"task is missing keys: {', '.join(missing)}")
-    if not isinstance(obj["desired"], Mapping) or not isinstance(obj["pools"], Mapping):
-        raise ValidationError("'desired' and 'pools' must be JSON objects")
     k = obj["k"]
     if isinstance(k, float) and k.is_integer():
         k = int(k)

@@ -7,15 +7,13 @@ evaluates to 62.99999999999999 and a raw floor yields 62 instead of 63,
 while 77 * (9/11) evaluates to 63.00000000000001 and a raw ceil yields 64.
 Values within SNAP_TOL of an integer count as that integer.
 
-Each helper rounds once and makes one exact fraction test. A floor
-f = floor(x) moves up to f + 1 when (f + 1) - x <= SNAP_TOL, and a ceiling
-c = ceil(x) moves down to c - 1 when x - (c - 1) <= SNAP_TOL. That is the
-floor or ceiling of x snapped to an integer m with |x - m| <= SNAP_TOL:
-only a snap up to f + 1 changes a floor, only a snap down to c - 1 changes
-a ceiling, and the test computes that |x - m|. Wherever the test can pass,
-x and m are within a factor of 2 of each other (or m is 0), so by
-Sterbenz's lemma the subtraction is exact and the test sees the true
-distance.
+There is one snap rule, the floor's: f = floor(x) moves up to f + 1 when
+(f + 1) - x <= SNAP_TOL, since only a snap up to f + 1 changes a floor.
+Wherever that test can pass, x and f + 1 are within a factor of 2 of each
+other (or f + 1 is 0), so by Sterbenz's lemma the subtraction is exact. The
+ceiling is the mirrored floor, ceil(x) = -floor(-x): negation is exact and
+rounding is symmetric in sign, so it makes the ceiling's own test,
+x - (ceil(x) - 1) <= SNAP_TOL, bit for bit.
 
 Quotas round in one place: every table of k * p_a goes through these
 helpers. The per-task table the re-rankers share (model.RankingTask.table)
@@ -44,12 +42,7 @@ def floor_quotas(x: np.ndarray) -> np.ndarray:
 
 def ceil_quotas(x: np.ndarray) -> np.ndarray:
     """Elementwise ceil(x), or the integer below x when it is within SNAP_TOL; returns int64."""
-    x = np.asarray(x, dtype=np.float64)
-    c = np.ceil(x)
-    gap = c - 1
-    np.subtract(x, gap, out=gap)
-    c -= gap <= SNAP_TOL
-    return c.astype(np.int64)
+    return -floor_quotas(-np.asarray(x, dtype=np.float64))
 
 
 def below_floor(counts: np.ndarray, products: np.ndarray) -> np.ndarray:

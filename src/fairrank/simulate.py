@@ -20,7 +20,7 @@ records how many tasks each mean covers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -32,16 +32,9 @@ from .metrics import _columns, _Pair
 from .model import DesiredDistribution, RankingTask, ScoredPool, _as_list, _freeze, _is_int
 from .rerank import _CANONICAL_ORDER, Algorithm, _check_fallback, _rank_columns, coerce_algorithm
 
-CSV_HEADER = (
-    "num_attr,algorithm,mean_infeasible_index,mean_infeasible_count,"
-    "mean_min_skew,mean_max_skew,mean_ndkl,mean_ndcg,task_count"
-)
-
 # distribution indices per work unit: sets how much work each pool task
 # carries, not the results
 _CHUNK = 64
-
-_METRIC_WIDTH = 6
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -126,6 +119,11 @@ class AggregateRow:
     task_count: int
 
 
+# the grid CSV's columns are AggregateRow's fields; its means follow run_task's metric rows
+CSV_HEADER = ",".join(f.name for f in fields(AggregateRow))
+_MEANS = tuple(f.name for f in fields(AggregateRow) if f.name.startswith("mean_"))
+
+
 class TaskOutcome(NamedTuple):
     rows: dict[Algorithm, np.ndarray]
     failures: dict[Algorithm, str]
@@ -173,7 +171,7 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
             for algo, row in run_task(task, config.algorithms).rows.items():
                 rows[algo].append(row)
     return {
-        a: np.array(r, dtype=np.float64).reshape(-1, _METRIC_WIDTH) for a, r in rows.items()
+        a: np.array(r, dtype=np.float64).reshape(-1, len(_MEANS)) for a, r in rows.items()
     }
 
 
@@ -204,7 +202,7 @@ def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
     for (num_attr, algo), tables in cells.items():
         table = tables[0] if len(tables) == 1 else np.concatenate(tables)
         # the bits of table.mean(axis=0), without its dispatch
-        mean = table.sum(axis=0) / len(table) if len(table) else np.zeros(_METRIC_WIDTH)
+        mean = table.sum(axis=0) / len(table) if len(table) else np.zeros(len(_MEANS))
         rows.append(AggregateRow(num_attr, algo, *mean.tolist(), len(table)))
     return rows
 
@@ -217,12 +215,8 @@ def write_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in ordered:
-            fh.write(
-                f"{r.num_attr},{r.algorithm.value},"
-                f"{r.mean_infeasible_index:.6f},{r.mean_infeasible_count:.6f},"
-                f"{r.mean_min_skew:.6f},{r.mean_max_skew:.6f},"
-                f"{r.mean_ndkl:.6f},{r.mean_ndcg:.6f},{r.task_count}\n"
-            )
+            means = ",".join(f"{getattr(r, name):.6f}" for name in _MEANS)
+            fh.write(f"{r.num_attr},{r.algorithm.value},{means},{r.task_count}\n")
 
 
 def write_diagnostics(rows, config: SimulationConfig, path) -> int:

@@ -313,6 +313,14 @@ class TestMeasureCommand:
         records = [{"position": i, "attribute": "a", "score": 0.5} for i in (1, 2)]
         assert_one_error_line(self.measure(tmp_path, records, {"a": 1.0, "b": 5e-324}))
 
+    def test_task_ideal_whose_dcg_overflows_rejected(self, tmp_path):
+        # used to exit 0 and write "ndcg": NaN, which is not JSON
+        pools = {"a": [1.7e308], "b": [1.7e308]}
+        task = {"k": 2, "desired": {"a": 0.5, "b": 0.5}, "pools": pools}
+        records = [{"position": i, "attribute": a, "score": 1.7e308} for i, a in enumerate("ab", 1)]
+        task_path = write_json(tmp_path / "task.json", task)
+        assert_one_error_line(self.measure(tmp_path, records, task["desired"], "--task", task_path))
+
     def test_negative_score_rejected(self, tmp_path):
         records = [
             {"position": 1, "attribute": "a", "score": 0.5},

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -113,7 +114,7 @@ class TestSkew:
         ranked = make_ranked("aaab", ("a", "b"))
         assert fr.skew_at_k(ranked, HALF, np.int64(1), 4) == fr.skew_at_k(ranked, HALF, "b", 4)
 
-    @pytest.mark.parametrize("attr", [None, 1.5, 1.0, True, ["a"], 2, -1])
+    @pytest.mark.parametrize("attr", [None, 1.5, 1.0, True, ["a"], 2, -1, "z"])
     def test_non_label_non_index_attribute_rejected(self, attr):
         # None and ["a"] must not raise TypeError, and 1.5 must not read index 1
         ranked = make_ranked("aaab", ("a", "b"))
@@ -157,12 +158,13 @@ class TestKlDivergence:
     @pytest.mark.parametrize(
         "p, q",
         [([0.5, 0.5], [0.9, 0.9]), ([0.6, 0.6], [0.5, 0.5]), ([0.5, 0.5 + 1e-8], [0.5, 0.5]),
-         ([], [])],
-        ids=["q-over-1", "p-over-1", "p-off-by-1e-8", "empty"],
+         ([], []), ([1e308, 1e308], [0.5, 0.5])],
+        ids=["q-over-1", "p-over-1", "p-off-by-1e-8", "empty", "p-sum-overflows"],
     )
     def test_unnormalized_or_empty_rejected(self, p, q):
         # (0.5, 0.5) against (0.9, 0.9) used to give -0.588, against Gibbs'
-        # inequality, and two empty vectors 0.0
+        # inequality, and two empty vectors 0.0; (1e308, 1e308) overflowed its
+        # sum with a RuntimeWarning
         with pytest.raises(fr.DistributionNotNormalized):
             fr.kl_divergence(p, q)
 
@@ -208,6 +210,10 @@ class TestNdkl:
         zero = fr.DesiredDistribution.from_mapping({"a": 1.0, "b": 0.0})
         with pytest.raises(fr.ZeroDesiredProportion):
             fr.ndkl(make_ranked("ab", ("a", "b")), zero)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(fr.ValidationError, match="empty"):
+            fr.ndkl(fr.RankedList.from_records([], ("a", "b")), HALF)
 
     @settings(max_examples=60)
     @given(
@@ -262,6 +268,14 @@ class TestNdcg:
     def test_short_ideal_rejected(self):
         with pytest.raises(fr.LengthMismatch):
             fr.ndcg([0.9, 0.8], [0.9])
+
+    def test_empty_list_is_one(self):
+        assert fr.ndcg([], [0.9, 0.8]) == 1.0
+
+    def test_zero_ideal_with_positive_gain_rejected(self):
+        with pytest.raises(fr.ZeroDenominator):
+            fr.ndcg([1.0], [0.0])
+        assert fr.ndcg([0.0], [0.0]) == 1.0
 
     def test_accepts_ranked_list(self):
         ranked = make_ranked("ab", ("a", "b"), scores=[0.9, 0.8])
@@ -462,6 +476,40 @@ class TestDcgGains:
 
     def test_empty_is_zero(self):
         assert fr.dcg([]) == 0.0
+
+
+class TestDcgOverflow:
+    # each used to give inf, NaN or 0.0 after a numpy overflow RuntimeWarning
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fr.dcg([1.7e308] * 3),  # inf
+            lambda: fr.dcg([-1.7e308] * 3),  # -inf
+            lambda: fr.ndcg([1.7e308] * 2, [1.7e308] * 2),  # inf / inf = NaN
+            lambda: fr.ndcg([1e308, 1e308], [1.7e308, 1.7e308, 1.0]),  # finite / inf = 0.0
+            lambda: fr.ndcg([1.0], [5e-324]),  # a finite ratio above the float range
+            lambda: fr.measure(make_ranked("ab", ("a", "b"), scores=[1.7e308] * 2), HALF),
+            lambda: fr.run_task(
+                make_task(HALF.as_mapping(), {"a": [1.7e308], "b": [1.7e308]}, 2),
+                list(fr.Algorithm),
+            ),
+        ],
+        ids=["dcg", "dcg-negative", "ndcg-nan", "ndcg-zero", "ndcg-ratio", "measure",
+             "run-task"],
+    )
+    def test_overflow_raises_validation_error_without_a_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fr.ValidationError, match="overflow"):
+                call()
+
+    def test_finite_sums_near_the_float_range_are_kept(self):
+        # 1e308 + 1e308 / log2(3) is finite, so these keep their values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fr.dcg([1e308, 1e308]) == 1e308 + 1e308 / math.log2(3)
+            assert fr.ndcg([1e308, 1e308], [1e308, 1e308]) == 1.0
+            assert fr.ndcg([1e308, 0.0], [1e308, 1e308]) == 1e308 / (1e308 + 1e308 / math.log2(3))
 
 
 class TestNonNumericInputs:
@@ -1021,5 +1069,32 @@ def test_no_module_of_the_package_has_a_global_statement():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if _rebinds_or_descriptor(node)
+    ]
+    assert found == []
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names a module imports but neither uses nor lists in __all__; from __future__ is exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_module_of_the_package_imports_a_name_it_does_not_use():
+    package = Path(fr.__file__).parent
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text()))
     ]
     assert found == []

@@ -36,6 +36,13 @@ class TestEmpiricalDistribution:
         with pytest.raises(fr.ValidationError):
             fr.empirical_distribution({"a": -1, "b": 2})
 
+    def test_counts_whose_total_overflows_rejected_without_warning(self):
+        # the total used to overflow with a RuntimeWarning, then fail as "sum to 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fr.ValidationError, match="overflow"):
+                fr.empirical_distribution({"a": 1.7e308, "b": 1.7e308})
+
     def test_count_that_normalizes_to_a_subnormal_rejected(self):
         # 1e-320 / 1.0 is subnormal: measure gave ndkl NaN and max_skew inf
         with pytest.raises(fr.DistributionNotNormalized):
@@ -74,13 +81,16 @@ class TestDesiredDistribution:
             (["0.5", "0.5"], fr.ValidationError),  # used to read as [0.5, 0.5]
             ([1.0, 5e-324], fr.DistributionNotNormalized),  # used to give ndkl NaN, max_skew inf
             ([1.0, 1e-310], fr.DistributionNotNormalized),  # subnormal, though its skew is finite
+            ([1e308, 1e308], fr.DistributionNotNormalized),  # its sum overflowed with a warning
         ],
         ids=["short", "nan", "unnormalized", "negative", "long", "2-D", "non-numeric", "bool",
-             "numeric-string", "least-subnormal", "subnormal"],
+             "numeric-string", "least-subnormal", "subnormal", "huge"],
     )
     def test_malformed_proportions_rejected_at_construction(self, proportions, error):
-        with pytest.raises(error):
-            fr.DesiredDistribution(labels=("a", "b"), proportions=proportions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                fr.DesiredDistribution(labels=("a", "b"), proportions=proportions)
 
     @pytest.mark.parametrize(
         "labels, proportions", [((), []), (("a", "a"), [0.5, 0.5])], ids=["empty", "duplicate"]
@@ -243,6 +253,15 @@ class TestValidateTask:
         assert not any(s.flags.writeable for s in pool.scores)
         given[0], listed[0] = 0.1, 0.2
         assert [s.tolist() for s in pool.scores] == [[0.9, 0.5], [0.8, 0.4]]
+
+    def test_duplicate_labels_of_a_direct_pool_rejected(self):
+        # from_mapping cannot repeat a label; a ScoredPool built directly can
+        with pytest.raises(fr.ValidationError, match="duplicate"):
+            fr.RankingTask(
+                desired=fr.DesiredDistribution.from_mapping({"a": 1.0}),
+                pool=fr.ScoredPool(labels=("a", "a"), scores=(np.array([0.9]), np.array([0.5]))),
+                k_max=1,
+            )
 
     def test_unknown_pool_attribute_rejected(self):
         with pytest.raises(fr.UnknownAttribute):
@@ -751,3 +770,19 @@ class TestRankedList:
     def test_non_numeric_scores_rejected(self):
         with pytest.raises(fr.ValidationError, match="numeric"):
             fr.RankedList(labels=("a",), attributes=[0], scores=["x"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fr.empirical_distribution([1, 2]),
+        lambda: fr.DesiredDistribution.from_mapping([("a", 1.0)]),
+        lambda: fr.ScoredPool.from_mapping([("a", [1.0])]),
+        lambda: fr.RankedList.from_records([{"position": 1, "attribute": "a", "score": 1.0}], 5),
+    ],
+    ids=["empirical-distribution", "desired-from-mapping", "pool-from-mapping", "record-labels"],
+)
+def test_inputs_of_the_wrong_container_type_raise_validation_error(call):
+    # the first three used to raise AttributeError, the last TypeError
+    with pytest.raises(fr.ValidationError):
+        call()

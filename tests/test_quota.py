@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task, ref_ceil, ref_floor
@@ -131,3 +131,33 @@ def test_task_table_rows_match_the_reference(mix):
     rows = range(1, k_max + len(mix) + 3)
     assert table.floor_rows == [[ref_floor(float(k) * q) for q in p] for k in rows]
     assert table.ceil_rows == [[ref_ceil(float(k) * q) for q in p] for k in rows]
+
+
+def own_snap_ceil_quotas(x):
+    """ceil(x) by the ceiling's own snap test, x - (ceil(x) - 1) <= SNAP_TOL, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    c = np.ceil(x)
+    gap = c - 1
+    np.subtract(x, gap, out=gap)
+    c -= gap <= SNAP_TOL
+    return c.astype(np.int64)
+
+
+# integers up to 2**52, offset by up to twice SNAP_TOL, absolutely or relatively
+_NEAR_INTEGERS = st.one_of(
+    st.builds(lambda m, d: m + d, st.integers(-(2**52), 2**52), st.floats(-2e-12, 2e-12)),
+    st.builds(lambda m, r: m * (1 + r), st.integers(-(2**52), 2**52), st.floats(-1e-10, 1e-10)),
+    st.sampled_from([0.0, -0.0, SNAP_TOL, -SNAP_TOL, 2.0**52 - 0.5, 2.0**52 + 1]),
+    st.floats(-(2.0**52), 2.0**52),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_NEAR_INTEGERS, min_size=1, max_size=8))
+def test_mirrored_floor_is_the_ceilings_own_snap_bit_for_bit(values):
+    # ceil_quotas is -floor_quotas(-x); negation is exact and rounding is
+    # symmetric in sign, so it must make the ceiling's own test exactly
+    x = np.array(values)
+    assert ceil_quotas(x).tolist() == own_snap_ceil_quotas(x).tolist()
+    # the snapped quotas bracket x: a floor above the ceiling would break the rankers
+    assert (floor_quotas(x) <= ceil_quotas(x)).all()

@@ -16,24 +16,79 @@ GREEDY_FAMILY = ("detgreedy", "detcons", "detrelaxed")
 CONSTRAINED = GREEDY_FAMILY + ("detconstsort",)
 
 
-def exact_det_cons(task, pressure=lambda ce, q: ce / q):
-    """detcons in exact rationals, the proportions read as the decimals they print as."""
-    p = [Fraction(repr(float(x))) for x in task.desired.proportions]
+def exact_proportions(task):
+    """The task's proportions as exact rationals, each the closest with a denominator up to 10**6.
+
+    That is the decimal a mix such as 0.35 prints as, 7/20, and the ratio
+    of a mix of integer weights such as 2/7, whose printed decimal
+    0.2857142857142857 is not 2/7: read as that decimal, 5/7 would not be
+    2.5 times it, and equal pressures would split.
+    """
+    return [Fraction(float(x)).limit_denominator(10**6) for x in task.desired.proportions]
+
+
+# the ceiling phase's key of each greedy-family ranker, from ceil(k * p_a) and p_a
+GREEDY_KEYS = {
+    "detgreedy": lambda ceiling, q: 0,
+    "detcons": lambda ceiling, q: ceiling / q,
+    "detrelaxed": lambda ceiling, q: math.ceil(ceiling / q),
+}
+
+
+def ref_greedy_family(task, algo, fallback=False, key=None):
+    """detgreedy, detcons or detrelaxed, one position at a time in exact rationals.
+
+    Returns (attributes, scores, fallback events). At prefix length k, the
+    attributes below floor(k * p_a) are served first, by next score;
+    otherwise the attributes below ceil(k * p_a) by key(ceil(k * p_a), p_a),
+    GREEDY_KEYS[algo] unless given. Ties go to the higher next score, then
+    the lower index, and an exhausted pool's next score is -inf. When the
+    winner's pool is exhausted it raises, unless fallback is on. Then, as
+    rerank.py states the rule, the winner is the best by the same order of
+    the attributes below min(ceil(k * p_a), pool length), keyed as the step
+    was (no key for a floor step), else of any attribute with candidates
+    left, and the step counts one event.
+    """
+    key = key or GREEDY_KEYS[algo]
+    p = exact_proportions(task)
     pools = [s.tolist() for s in task.pool.scores]
+    everyone = range(len(p))
     counts = [0] * len(p)
-    out = []
+    attrs, scores, events = [], [], 0
+
+    def best(candidates, keys):
+        return min(candidates, key=lambda a: (
+            keys[a], -pools[a][counts[a]] if counts[a] < len(pools[a]) else math.inf, a
+        ))
+
     for k in range(1, task.k_max + 1):
-        floors = [math.floor(k * q) for q in p]
-        ceils = [math.ceil(k * q) for q in p]
-        cands = [a for a in range(len(p)) if counts[a] < floors[a]]
-        keys = [0] * len(p)
-        if not cands:
-            cands = [a for a in range(len(p)) if counts[a] < ceils[a]]
-            keys = [pressure(ce, q) for ce, q in zip(ceils, p)]
-        a = min(cands, key=lambda a: (keys[a], -pools[a][counts[a]], a))
-        out.append(a)
+        floors = [k * q.numerator // q.denominator for q in p]
+        ceils = [-(-k * q.numerator // q.denominator) for q in p]
+        below = [a for a in everyone if counts[a] < floors[a]]
+        keys = [0] * len(p) if below else [key(c, q) for c, q in zip(ceils, p)]
+        a = best(below or [a for a in everyone if counts[a] < ceils[a]], keys)
+        if counts[a] == len(pools[a]):
+            if not fallback:
+                raise fr.InsufficientCandidates(
+                    f"{algo}: required attribute pool exhausted at position {k}"
+                )
+            left = [b for b in everyone if counts[b] < min(ceils[b], len(pools[b]))]
+            a = best(left or [b for b in everyone if counts[b] < len(pools[b])], keys)
+            events += 1
+        attrs.append(a)
+        scores.append(pools[a][counts[a]])
         counts[a] += 1
-    return out
+    return attrs, scores, events
+
+
+def assert_greedy_family_matches_reference(task):
+    for algo in GREEDY_FAMILY:
+        for fallback in (False, True):
+            try:
+                expected = ref_greedy_family(task, algo, fallback)
+            except fr.InsufficientCandidates as exc:
+                expected = type(exc).__name__, str(exc)
+            assert rank_outcome(task, algo, fallback) == expected, (algo, fallback)
 
 
 def ref_det_const_sort(task, fallback=False):
@@ -207,11 +262,10 @@ class TestDetConsAndRelaxed:
                 for label in ("a", "b", "c")
             }
             task = make_task(dict(zip("abc", p)), pools, k)
-            expected = exact_det_cons(task)
-            ranked = fr.rank(task, "detcons")
-            assert ranked.attributes.tolist() == expected
-            float_keyed = exact_det_cons(task, pressure=lambda ce, q: ce / float(q))
-            changed += float_keyed != expected
+            expected = ref_greedy_family(task, "detcons")
+            assert rank_outcome(task, "detcons", False) == expected
+            float_keyed = ref_greedy_family(task, "detcons", key=lambda ce, q: ce / float(q))
+            changed += float_keyed[0] != expected[0]
         # float-keyed pressures would get some of these rankings wrong
         assert changed > 0
 
@@ -486,6 +540,29 @@ def small_tasks(draw):
     )
 
 
+@st.composite
+def decimal_mix_tasks(draw):
+    """Tasks with 1-8 attributes and k up to 100, over 2-decimal mixes such as (0.05, 0.35, 0.6).
+
+    A zero share drops its label. Each pool holds floor(k * p_a) + U{-1..2}
+    candidates (at least 0; the largest share takes any shortfall, so the
+    kept pools can fill k), so pools run dry, and the scores tie often.
+    """
+    n = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, 100), min_size=n - 1, max_size=n - 1)))
+    hundredths = [b - a for a, b in zip([0, *cuts], [*cuts, 100])]
+    k = draw(st.integers(1, 100))
+    sizes = [max(0, k * h // 100 + draw(st.integers(-1, 2))) for h in hundredths]
+    sizes[hundredths.index(max(hundredths))] += max(
+        0, k - sum(m for m, h in zip(sizes, hundredths) if h)
+    )
+    labels = [f"a{i}" for i in range(n)]
+    pools = [sorted(draw(st.lists(_SCORES, min_size=m, max_size=m)), reverse=True) for m in sizes]
+    return make_task(
+        {a: h / 100 for a, h in zip(labels, hundredths)}, dict(zip(labels, pools)), k
+    )
+
+
 def rank_or_error(task, algo, fallback):
     try:
         return fr.rank(task, algo, fallback)
@@ -523,6 +600,11 @@ class TestKernelProperties:
     @given(small_tasks())
     def test_det_const_sort_matches_reference(self, task):
         assert_det_const_sort_matches_reference(task)
+
+    @settings(max_examples=100, deadline=None)
+    @given(decimal_mix_tasks())
+    def test_greedy_family_matches_the_exact_reference(self, task):
+        assert_greedy_family_matches_reference(task)
 
     @settings(max_examples=150, deadline=None)
     @given(small_tasks())
@@ -603,6 +685,11 @@ def test_rank_digest_on_tight_pools_is_pinned():
     assert rank_digest(tight_pool_tasks()) == (
         "4b0f4b7da1b4f820ef8bdd79a3bac57088b1727023756188dc183e4ee158f3bc"
     )
+
+
+def test_greedy_family_matches_the_exact_reference_on_tight_pools():
+    for task in tight_pool_tasks():
+        assert_greedy_family_matches_reference(task)
 
 
 def test_run_task_agrees_with_rank_on_every_outcome():
