@@ -56,6 +56,13 @@ ndarray methods wrap in Python: the same bits, fewer calls. The memo is
 _pair, an lru_cache(maxsize=1) over (list, distribution): it keeps the
 entry of the last pair, so a chain of metric calls on that pair, measure
 among them, checks labels once and builds the tables once.
+
+Each value crosses from numpy to Python once, by the cheapest exact path:
+every public scalar measure returns a Python int, float or bool, never a
+numpy scalar, converted by int() or float() and never by .item(), which
+costs several times as much; a depth k that is already a Python int in
+range is taken as it is; and lengths are read from the arrays (.size), not
+through a list's or distribution's __len__.
 run_task builds its batch entry from the rankings' (m, n) attribute
 indices, and the entry builds every table the same way, broadcast over the
 m lists.
@@ -110,6 +117,8 @@ _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def _check_depth(k, n: int) -> int:
+    if type(k) is int and 1 <= k <= n:  # the common case, already exact
+        return k
     if not _is_int(k) or k < 1 or k > n:
         raise KOutOfRange(f"k must be in 1..{n}, got {k!r}")
     return int(k)
@@ -163,7 +172,7 @@ class _Pair:
 
     def __init__(self, attributes: np.ndarray, desired: DesiredDistribution):
         p = desired.proportions
-        self.counts = counts = _freeze(_cumulative(attributes, len(desired)))
+        self.counts = counts = _freeze(_cumulative(attributes, p.size))
         self.rows = rows = _prefix_rows(counts.shape[-1])
         self.positive = min(p.tolist()) > 0
         # the mask before the log-shares: that order measured faster at length 1000;
@@ -192,14 +201,14 @@ def _pair(ranked: RankedList, desired: DesiredDistribution) -> _Pair:
 
 def proportions_at_k(ranked: RankedList, k: int) -> np.ndarray:
     """Observed attribute proportions in the top k."""
-    k = _check_depth(k, len(ranked))
+    k = _check_depth(k, ranked.attributes.size)
     return np.bincount(ranked.attributes[:k], minlength=len(ranked.labels)) / k
 
 
 def _skew_row(ranked: RankedList, desired: DesiredDistribution, k: int) -> np.ndarray:
     """Every attribute's skew at depth k: column k - 1 of the pair's log-share matrix."""
     entry = _pair(ranked, desired)
-    k = _check_depth(k, len(ranked))
+    k = _check_depth(k, ranked.attributes.size)
     if not entry.positive:
         raise ZeroDesiredProportion("skew is undefined for zero desired proportions")
     return entry.logs[:, k - 1]
@@ -274,7 +283,7 @@ def ndkl(ranked: RankedList, desired: DesiredDistribution) -> float:
     exactly when every prefix distribution equals the desired one.
     """
     entry = _pair(ranked, desired)
-    if len(ranked) == 0:
+    if ranked.attributes.size == 0:
         raise ValidationError("ndkl of an empty list is undefined")
     if np.any((entry.counts[:, -1] > 0) & (desired.proportions <= 0)):
         raise ZeroDesiredProportion("list contains an attribute with zero desired proportion")
@@ -438,13 +447,13 @@ def measure(
     measure utility loss against the unconstrained ordering.
     """
     entry = _pair(ranked, desired)
-    n = len(ranked)
+    n = ranked.attributes.size
     if n == 0:
         raise ValidationError("cannot measure an empty list")
     k = min(DEFAULT_DEPTH, n) if k is None else _check_depth(k, n)
     ideal = np.sort(ranked.scores)[::-1] if ideal_scores is None else ideal_scores
-    columns = _columns(entry, ranked.scores, k, ideal)
-    index, count, low, high, div, gain = [column.item() for column in columns]
+    index, count, low, high, div, gain = _columns(entry, ranked.scores, k, ideal)
     # a copy, so a kept report holds k's column and not the whole matrix
     skew = entry.logs[:, k - 1].copy()
-    return MetricsReport(desired.labels, skew, low, high, div, gain, index, count, k)
+    low, high, div, gain = float(low), float(high), float(div), float(gain)
+    return MetricsReport(desired.labels, skew, low, high, div, gain, int(index), int(count), k)

@@ -35,6 +35,9 @@ NORMALIZATION_TOL = 1e-9
 # the least normal float64: a desired proportion below it, but above 0, overflows the skew's ratio
 _TINY = float(np.finfo(np.float64).tiny)
 
+# the native float64 dtype, which _as_float_array passes through untouched
+_FLOAT64 = np.dtype(np.float64)
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -60,9 +63,17 @@ def _check_proportions(p: np.ndarray, what: str) -> None:
         raise DistributionNotNormalized(f"{what} must sum to 1, got {float(p.sum()):.12f}")
 
 
+def _check_labels(labels: tuple, what: str) -> None:
+    """ValidationError unless the labels of what are distinct strings."""
+    if not all(isinstance(a, str) for a in labels):
+        raise ValidationError(f"attribute labels must be strings, got {labels!r}")
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"duplicate attribute labels in {what}")
+
+
 def _is_int(x) -> bool:
     """True for Python and numpy integers, but not for bools."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
 
 
 def _as_list(values, what: str, error=ValidationError) -> list:
@@ -90,7 +101,11 @@ def _as_float_array(values, what: str) -> np.ndarray:
     the dtype numpy infers for the whole array is tested, so a list that
     mixes numbers with a bool, such as [0.9, True], still reads as floats.
     Integers beyond 64 bits come out as objects and are converted one by one.
+    A native float64 ndarray is returned as it is, as np.asarray and
+    astype(copy=False) would return it.
     """
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
     try:
         arr = np.asarray(values)
         if arr.dtype.kind == "O" and all(type(x) in (int, float) for x in arr.flat):
@@ -109,7 +124,7 @@ class DesiredDistribution:
     Construction requires unique string labels and one proportion per label,
     which together pass _check_proportions (ValidationError or
     DistributionNotNormalized otherwise). It stores the labels as a tuple and
-    the proportions as a frozen float64 copy.
+    the proportions as a frozen float64 copy, with any -0.0 stored as 0.0.
     """
 
     labels: tuple[str, ...]
@@ -117,11 +132,10 @@ class DesiredDistribution:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        p = _freeze(_as_float_array(self.proportions, "desired proportions").copy())
-        if not all(isinstance(a, str) for a in labels):
-            raise ValidationError(f"attribute labels must be strings, got {labels!r}")
-        if len(set(labels)) != len(labels):
-            raise ValidationError("duplicate attribute labels in distribution")
+        p = _as_float_array(self.proportions, "desired proportions").copy()
+        p += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
+        _freeze(p)
+        _check_labels(labels, "distribution")
         if p.ndim != 1 or len(p) != len(labels):
             raise ValidationError("proportions must be one value per label")
         _check_proportions(p, "proportions")
@@ -303,9 +317,11 @@ class RankedList:
     substitute an attribute because the one its rule demanded was exhausted;
     it must be a non-negative integer (not a bool) and is stored as an int.
 
-    Construction rejects attribute and score arrays of different shapes
-    (LengthMismatch), attributes that are not a flat array of integers (an
-    empty one may have any dtype and is stored as int64) and non-numeric or
+    Construction rejects labels that are not distinct strings
+    (ValidationError, as DesiredDistribution does), attribute and score
+    arrays of different shapes (LengthMismatch), attributes that are not a
+    flat array of integers (an empty one may have any dtype and is stored
+    as int64) and non-numeric or
     non-finite scores (ValidationError), and an attribute index outside
     0..len(labels) - 1 (UnknownAttribute), so the metrics can take any
     RankedList as well-formed. It stores its labels as a tuple and read-only
@@ -319,7 +335,9 @@ class RankedList:
     fallback_events: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = tuple(self.labels)
+        _check_labels(labels, "ranked list")
+        object.__setattr__(self, "labels", labels)
         attrs = np.asarray(self.attributes)
         attrs = _sealed(self.attributes, attrs if attrs.size else attrs.astype(np.int64))
         scores = _sealed(self.scores, _as_float_array(self.scores, "ranked scores"))

@@ -1,8 +1,10 @@
 import ast
 import copy
 import gc
+import json
 import math
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -968,6 +970,66 @@ for seed, length in [tuple(map(int, case.split(":"))) for case in sys.argv[1:]]:
 """
 
 
+class TestBoundaryTypes:
+    """Every public scalar measure returns an exact Python int, float or bool, never a numpy scalar."""
+
+    @pytest.mark.parametrize("length", [1, 1000])
+    @pytest.mark.parametrize("depth", ["int", "np.int64", "omitted"])
+    def test_scalar_measures_are_python_numbers(self, length, depth):
+        ranked, desired = random_case(spawn_rng(28, length), 3, length)
+        k = {"int": (length + 1) // 2, "np.int64": np.int64((length + 1) // 2), "omitted": None}[depth]
+        report = fr.measure(ranked, desired, k=k)
+        at = report.k if k is None else k
+        ideal = np.sort(ranked.scores)[::-1]
+        values = {
+            "report.k": (report.k, int),
+            "report.min_skew": (report.min_skew, float),
+            "report.max_skew": (report.max_skew, float),
+            "report.ndkl": (report.ndkl, float),
+            "report.ndcg": (report.ndcg, float),
+            "report.infeasible_index": (report.infeasible_index, int),
+            "report.infeasible_count": (report.infeasible_count, int),
+            "report.feasible": (report.feasible, bool),
+            "min_skew_at_k": (fr.min_skew_at_k(ranked, desired, at), float),
+            "max_skew_at_k": (fr.max_skew_at_k(ranked, desired, at), float),
+            "skew_at_k by label": (fr.skew_at_k(ranked, desired, "g1", at), float),
+            "skew_at_k by index": (fr.skew_at_k(ranked, desired, np.int64(2), at), float),
+            "ndkl": (fr.ndkl(ranked, desired), float),
+            "ndcg of a list": (fr.ndcg(ranked, ideal), float),
+            "ndcg of scores": (fr.ndcg(ranked.scores, ideal), float),
+            "dcg": (fr.dcg(ranked.scores), float),
+            "kl_divergence": (
+                fr.kl_divergence(fr.proportions_at_k(ranked, at), desired.proportions), float
+            ),
+            "infeasible_index": (fr.infeasible_index(ranked, desired), int),
+            "infeasible_count": (fr.infeasible_count(ranked, desired), int),
+        }
+        assert [name for name, (value, kind) in values.items() if type(value) is not kind] == []
+        # json refuses a numpy integer, so a leaked one fails here
+        assert json.loads(json.dumps(report.to_dict()))["k"] == at
+
+    @pytest.mark.parametrize("k", [True, 2.0, 0, 4], ids=["bool", "float", "zero", "n-plus-one"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, k: fr.measure(r, HALF, k=k),
+            lambda r, k: fr.min_skew_at_k(r, HALF, k),
+            lambda r, k: fr.proportions_at_k(r, k),
+        ],
+        ids=["measure", "min_skew_at_k", "proportions_at_k"],
+    )
+    def test_bad_depths_rejected_with_the_same_message(self, call, k):
+        with pytest.raises(fr.KOutOfRange, match=re.escape(f"k must be in 1..3, got {k!r}")):
+            call(make_ranked("aba", ("a", "b")), k)
+
+    @pytest.mark.parametrize(
+        "k", [1, 3, np.int64(2), np.uint8(3)], ids=["int-1", "int-n", "int64", "uint8"]
+    )
+    def test_depths_in_range_come_back_as_python_ints(self, k):
+        depth = fr.metrics._check_depth(k, 3)
+        assert type(depth) is int and depth == k
+
+
 class TestPrefixRows:
     """Rows that depend only on prefix length are kept once per process and never handed out."""
 
@@ -1069,6 +1131,21 @@ def test_no_module_of_the_package_has_a_global_statement():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if _rebinds_or_descriptor(node)
+    ]
+    assert found == []
+
+
+def test_no_module_of_the_package_calls_item():
+    """A numpy scalar leaves the package through int() or float(), never through .item(),
+    which costs several times as much."""
+    package = Path(fr.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "item"
     ]
     assert found == []
 

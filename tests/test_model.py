@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fairrank as fr
 from conftest import make_ranked, make_task
+from fairrank.model import _as_float_array
 
 
 class TestEmpiricalDistribution:
@@ -118,6 +119,19 @@ class TestDesiredDistribution:
     def test_malformed_mapping_rejected(self):
         with pytest.raises(fr.DistributionNotNormalized):
             fr.DesiredDistribution.from_mapping({"a": 0.2, "b": 0.2})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fr.empirical_distribution({"a": -0.0, "b": 1}),
+            lambda: fr.DesiredDistribution(("a", "b"), [-0.0, 1.0]),
+        ],
+        ids=["empirical-distribution", "constructor"],
+    )
+    def test_negative_zero_stored_as_zero(self, build):
+        d = build()
+        assert [math.copysign(1.0, p) for p in d.as_mapping().values()] == [1.0, 1.0]
+        assert math.copysign(1.0, d.proportions[0]) == 1.0
 
     def test_stores_tuple_labels_and_frozen_float_copy(self):
         source = np.array([0.25, 0.75])
@@ -770,6 +784,46 @@ class TestRankedList:
     def test_non_numeric_scores_rejected(self):
         with pytest.raises(fr.ValidationError, match="numeric"):
             fr.RankedList(labels=("a",), attributes=[0], scores=["x"])
+
+    @pytest.mark.parametrize(
+        "labels, match",
+        [((1, 2), "must be strings"), (("a", "a"), "duplicate attribute labels in ranked list")],
+        ids=["non-string", "duplicate"],
+    )
+    @pytest.mark.parametrize("entry", ["constructor", "from_records"])
+    def test_labels_must_be_distinct_strings(self, entry, labels, match):
+        # as a DesiredDistribution's; from_records used to map a duplicate "a" to index 1
+        with pytest.raises(fr.ValidationError, match=match):
+            if entry == "constructor":
+                fr.RankedList(labels, [0, 1], [0.5, 0.4])
+            else:
+                rows = [{"position": i, "attribute": a, "score": 0.5} for i, a in enumerate(labels)]
+                fr.RankedList.from_records(rows, list(labels))
+
+
+class TestAsFloatArray:
+    def test_native_float64_array_returned_as_is(self):
+        arr = np.array([0.5, 0.25])
+        assert _as_float_array(arr, "x") is arr
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([0.5, 0.25], dtype=">f8"), np.array([0.5, 0.25], np.float32), np.array([2, 1])],
+        ids=["big-endian", "float32", "int"],
+    )
+    def test_other_numeric_arrays_give_a_native_float64_copy(self, arr):
+        out = _as_float_array(arr, "x")
+        assert out is not arr and out.dtype == np.float64 and out.dtype.isnative
+        assert out.tolist() == arr.tolist()
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([True, False]), np.array(["0.5"]), np.array([0.5, None], dtype=object)],
+        ids=["bool", "str", "object"],
+    )
+    def test_bool_string_and_object_arrays_rejected(self, arr):
+        with pytest.raises(fr.ValidationError, match="numeric"):
+            _as_float_array(arr, "x")
 
 
 @pytest.mark.parametrize(

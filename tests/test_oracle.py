@@ -14,10 +14,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
 
 import fairrank as fr
-from conftest import random_task, ref_ceil, ref_floor, spawn_rng
-from test_rerank import four_group_task, tight_pool_tasks
+from conftest import make_task, random_task, ref_ceil, ref_floor, spawn_rng
+from test_rerank import decimal_mix_tasks, four_group_task, tight_pool_tasks
 
 # the rankers that, with fallback, must find a floor-feasible ranking wherever one exists
 COMPLETE = (fr.Algorithm.DET_CONS, fr.Algorithm.DET_RELAXED, fr.Algorithm.DET_CONST_SORT)
@@ -105,6 +106,26 @@ def assert_no_feasible_ranking_beats_the_oracle(solved):
                 assert out[1] <= best + 1e-9 * abs(best), (key, out[1], best)
 
 
+def assert_fallback_rankers_are_feasible_where_the_oracle_ranks(solved):
+    for _, best, _, outcomes in solved:
+        if best is not None:
+            assert all(outcomes[algo, True][0] for algo in COMPLETE)
+
+
+def mix_task(hundredths, k, extra, seed=2019):
+    """A task over the mix hundredths / 100 whose pool a holds floor(k * p_a) + extra[a] candidates.
+
+    Scores sit on a 0.05 grid, so they tie often.
+    """
+    rng = spawn_rng(seed, *hundredths)
+    labels = [f"a{i}" for i in range(len(hundredths))]
+    pools = [
+        sorted((rng.integers(0, 21, k * h // 100 + e) / 20).tolist(), reverse=True)
+        for h, e in zip(hundredths, extra)
+    ]
+    return make_task({a: h / 100 for a, h in zip(labels, hundredths)}, dict(zip(labels, pools)), k)
+
+
 def test_oracle_matches_brute_force_on_short_rankings():
     checked = 0
     for task in tight_pool_tasks():
@@ -157,9 +178,7 @@ def test_tight_pools_with_no_oracle_ranking_have_no_feasible_ranking(tight):
 
 
 def test_tight_pools_fallback_rankers_are_feasible_where_the_oracle_ranks(tight):
-    for _, best, _, outcomes in tight:
-        if best is not None:
-            assert all(outcomes[algo, True][0] for algo in COMPLETE)
+    assert_fallback_rankers_are_feasible_where_the_oracle_ranks(tight)
 
 
 def test_tight_pools_detgreedy_is_feasible_for_small_alphabets_where_ceilings_allow(tight):
@@ -171,6 +190,27 @@ def test_tight_pools_detgreedy_is_feasible_for_small_alphabets_where_ceilings_al
 
 def test_paper_grid_rankings_against_the_oracle(paper_grid):
     assert_no_feasible_ranking_beats_the_oracle(paper_grid)
-    for _, best, _, outcomes in paper_grid:
-        assert best is not None
-        assert all(outcomes[algo, True][0] for algo in COMPLETE)
+    assert all(best is not None for _, best, _, _ in paper_grid)
+    assert_fallback_rankers_are_feasible_where_the_oracle_ranks(paper_grid)
+
+
+# n = 8, k = 100 tasks the oracle ranks; its floor-only DP takes about 0.4-0.6 s on each
+N8_TASKS = [
+    mix_task((5, 5, 10, 10, 10, 15, 20, 25), 100, (0, 1, 0, 2, 1, 0, 1, 2)),
+    mix_task((12, 12, 12, 12, 13, 13, 13, 13), 100, (0, 0, 1, 0, 2, 1, 0, 0)),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@example(N8_TASKS[0])
+@example(N8_TASKS[1])
+@given(decimal_mix_tasks())
+def test_decimal_mix_rankings_against_the_oracle(task):
+    solved = solve([task])
+    assert_no_feasible_ranking_beats_the_oracle(solved)
+    assert_fallback_rankers_are_feasible_where_the_oracle_ranks(solved)
+
+
+def test_the_n8_examples_are_rankable():
+    # a ranking that meets every ceiling too meets every floor: the cheap oracle suffices
+    assert all(oracle_dcg(task, ceilings=True) is not None for task in N8_TASKS)
