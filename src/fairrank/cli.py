@@ -9,13 +9,14 @@ warnings and summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
 from .errors import RankingError, ValidationError
 from .metrics import measure
-from .model import DesiredDistribution, RankedList, _as_mapping, task_from_dict
+from .model import DesiredDistribution, RankedList, _without_zeros, task_from_dict
 from .rerank import Algorithm, rank
 from .simulate import SimulationConfig, run_grid, write_csv, write_diagnostics
 
@@ -71,12 +72,9 @@ def cmd_measure(args) -> int:
     records = _load_json(args.input)
     if not isinstance(records, list):
         raise ValidationError("ranked input must be a JSON array of rows")
-    desired_map = _as_mapping(_load_json(args.desired), "desired input")
-    # zero-proportion values are dropped here, as a RankingTask drops them; a
-    # ranked row carrying one then fails with UnknownAttribute
-    desired = DesiredDistribution.from_mapping(
-        {a: p for a, p in desired_map.items() if p != 0}
-    )
+    # zero-proportion values are dropped, as a RankingTask drops them; a ranked
+    # row carrying one then fails with UnknownAttribute
+    desired = _without_zeros(DesiredDistribution.from_mapping(_load_json(args.desired)))
     ranked = RankedList.from_records(records, desired.labels)
 
     ideal = None
@@ -88,20 +86,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.algorithms:
-        algorithms = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
-    else:
-        algorithms = tuple(_ALGO_NAMES)
-    config = SimulationConfig(
-        attr_min=args.attr_min,
-        attr_max=args.attr_max,
-        num_distributions=args.num_distributions,
-        replications=args.replications,
-        pool_size=args.pool_size,
-        k_max=args.k,
-        algorithms=algorithms,
-        seed=args.seed,
-    )
+    fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+    config = SimulationConfig(**{k: v for k, v in vars(args).items() if k in fields})
     rows = run_grid(config, jobs=args.jobs)
     write_csv(rows, args.output)
     for num_attr in range(config.attr_min, config.attr_max + 1):
@@ -157,18 +143,20 @@ def build_parser() -> argparse.ArgumentParser:
     measure_p.add_argument("--output", help="report JSON path (default stdout)")
     measure_p.set_defaults(func=cmd_measure)
 
-    sim_p = sub.add_parser("simulate", help="run a seeded random-task grid")
-    sim_p.add_argument("--attr-min", type=int, default=2)
-    sim_p.add_argument("--attr-max", type=int, default=10)
-    sim_p.add_argument("--num-distributions", type=int, default=1000)
-    sim_p.add_argument("--replications", type=int, default=1)
-    sim_p.add_argument("--pool-size", type=int, default=100)
-    sim_p.add_argument("--k", type=int, default=100)
+    # each flag's dest is a SimulationConfig field; a flag left out is absent
+    # from args, so cmd_simulate leaves that field at its dataclass default
+    sim_p = sub.add_parser(
+        "simulate", help="run a seeded random-task grid", argument_default=argparse.SUPPRESS
+    )
+    for flag in ("--attr-min", "--attr-max", "--num-distributions", "--replications",
+                 "--pool-size", "--seed"):
+        sim_p.add_argument(flag, type=int)
+    sim_p.add_argument("--k", type=int, dest="k_max")
     sim_p.add_argument(
         "--algorithms",
-        help=f"comma-separated subset of {{{','.join(_ALGO_NAMES)}}} (default: all)",
+        type=lambda text: [name for name in map(str.strip, text.split(",")) if name],
+        help=f"comma-separated subset of {{{','.join(_ALGO_NAMES)}}}",
     )
-    sim_p.add_argument("--seed", type=int, default=42)
     sim_p.add_argument("--output", required=True, help="aggregate CSV path")
     sim_p.add_argument("--jobs", type=int, default=1, help="worker processes")
     sim_p.set_defaults(func=cmd_simulate)

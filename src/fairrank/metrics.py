@@ -46,9 +46,7 @@ its prefix counts, floor-violation mask, infeasible row (the mask reduced
 over attributes, read by measure and infeasible_prefixes), shares c_ia / i
 and log-share matrix; there is no floor table. measure and run_task read
 them all. A lone skew, infeasible_prefixes or ndkl call on a fresh pair
-pays for the tables it does not read: at length 1000 over 10 attributes it
-takes about 120-140 us against a cold measure's 160 us (best of 400, one
-core of a shared Xeon VM, numpy 2.4). The tables are attribute-major,
+pays for the tables it does not read. The tables are attribute-major,
 (num_attrs, n) with column i - 1 covering the top i, so every per-prefix op
 and every sum over attributes runs along the long prefix axis. Reductions
 call the ufuncs' own reduce (_sum, _any, _all, _min, _max), the C loops the

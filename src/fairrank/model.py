@@ -15,7 +15,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, repeat
 
 import numpy as np
 
@@ -63,17 +63,15 @@ def _check_proportions(p: np.ndarray, what: str) -> None:
         raise DistributionNotNormalized(f"{what} must sum to 1, got {float(p.sum()):.12f}")
 
 
-def _check_labels(labels: tuple, what: str) -> None:
-    """ValidationError unless the labels of what are distinct strings."""
-    if not all(isinstance(a, str) for a in labels):
-        raise ValidationError(f"attribute labels must be strings, got {labels!r}")
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"duplicate attribute labels in {what}")
-
-
 def _is_int(x) -> bool:
     """True for Python and numpy integers, but not for bools."""
     return type(x) is int or (isinstance(x, (int, np.integer)) and not isinstance(x, bool))
+
+
+def _check_count(name: str, value, least: int, error=ValidationError) -> None:
+    """error (a ValidationError) unless value is an integer (not a bool) >= least."""
+    if not _is_int(value) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _as_list(values, what: str, error=ValidationError) -> list:
@@ -84,6 +82,16 @@ def _as_list(values, what: str, error=ValidationError) -> list:
         except TypeError:
             pass
     raise error(f"{what} must be a list, got {values!r}")
+
+
+def _labels(values, what: str) -> tuple:
+    """values as a tuple of distinct strings, the labels of what (ValidationError otherwise)."""
+    labels = values if type(values) is tuple else tuple(_as_list(values, "attribute labels"))
+    if not all(map(isinstance, labels, repeat(str))):
+        raise ValidationError(f"attribute labels must be strings, got {labels!r}")
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"duplicate attribute labels in {what}")
+    return labels
 
 
 def _as_mapping(obj, what: str) -> Mapping:
@@ -131,11 +139,10 @@ class DesiredDistribution:
     proportions: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        labels = _labels(self.labels, "distribution")
         p = _as_float_array(self.proportions, "desired proportions").copy()
         p += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
         _freeze(p)
-        _check_labels(labels, "distribution")
         if p.ndim != 1 or len(p) != len(labels):
             raise ValidationError("proportions must be one value per label")
         _check_proportions(p, "proportions")
@@ -161,6 +168,15 @@ class DesiredDistribution:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def _without_zeros(desired: DesiredDistribution) -> DesiredDistribution:
+    """desired without its zero-proportion labels: desired itself when it has none."""
+    p = desired.proportions.tolist()
+    if 0.0 not in p:  # a Python scan: numpy's != 0 and .all() cost more at these sizes
+        return desired
+    labels, props = zip(*[(a, x) for a, x in zip(desired.labels, p) if x])
+    return DesiredDistribution(labels, props)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +223,11 @@ class RankingTask:
     desired label order (a missing one is empty) as read-only views of one
     copy of all the scores, which holds a -inf sentinel after each pool for
     the re-rankers (the views leave it out). A k_max that is not a positive
-    integer, unknown or duplicate pool labels, or a pool that is not flat,
-    finite and non-increasing (the first in label order is named) raise a
-    ValidationError subclass; fewer than k_max candidates in all raise
-    InsufficientCandidates.
+    integer, pool labels that are not distinct strings of the distribution,
+    a pool whose label and score-array counts differ (LengthMismatch), or a
+    pool that is not flat, finite and non-increasing (the first in label
+    order is named) raise a ValidationError subclass; fewer than k_max
+    candidates in all raise InsufficientCandidates.
     """
 
     desired: DesiredDistribution
@@ -218,25 +235,20 @@ class RankingTask:
     k_max: int
 
     def __post_init__(self):
-        if not _is_int(self.k_max) or self.k_max < 1:
-            raise ValidationError(f"k_max must be a positive integer, got {self.k_max!r}")
-
-        if len(set(self.pool.labels)) != len(self.pool.labels):
-            raise ValidationError("duplicate attribute labels in pool")
+        _check_count("k_max", self.k_max, 1)
+        pool_labels = _labels(self.pool.labels, "pool")
+        scores = _as_list(self.pool.scores, "pool scores")
+        if len(pool_labels) != len(scores):
+            raise LengthMismatch(f"{len(pool_labels)} pool labels but {len(scores)} score arrays")
         known = set(self.desired.labels)
-        for a in self.pool.labels:
+        for a in pool_labels:
             if a not in known:
                 raise UnknownAttribute(f"pool attribute {a!r} is not in the desired distribution")
-        by_label = dict(zip(self.pool.labels, self.pool.scores))
+        by_label = dict(zip(pool_labels, scores))
 
-        labels: list[str] = []
-        props: list[float] = []
-        given: list[np.ndarray] = []
-        for a, p in zip(self.desired.labels, self.desired.proportions):
-            if p != 0:
-                labels.append(a)
-                props.append(float(p))
-                given.append(_as_float_array(by_label.get(a, ()), f"pool scores for {a!r}"))
+        desired = _without_zeros(self.desired)
+        labels = desired.labels
+        given = [_as_float_array(by_label.get(a, ()), f"pool scores for {a!r}") for a in labels]
         # all pools are checked in one pass over one copy of their scores, with a
         # -inf sentinel after each pool: pool a is padded[i:j - 1], its sentinel padded[j - 1]
         padded = _freeze(np.concatenate([x for s in given for x in (s.ravel(), _SENTINEL)]))
@@ -258,10 +270,8 @@ class RankingTask:
         if total < self.k_max:
             raise InsufficientCandidates(f"pools hold {total} candidates, k_max is {self.k_max}")
 
-        # the task's own distribution is already checked unless a label was dropped
-        if len(labels) < len(self.desired):
-            object.__setattr__(self, "desired", DesiredDistribution(tuple(labels), props))
-        pool = ScoredPool(labels=tuple(labels), scores=tuple(padded[i : j - 1] for i, j in spans))
+        object.__setattr__(self, "desired", desired)
+        pool = ScoredPool(labels=labels, scores=tuple(padded[i : j - 1] for i, j in spans))
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "k_max", int(self.k_max))
         # the score copy and each pool's span in it, sentinel included, for table and merged
@@ -335,24 +345,20 @@ class RankedList:
     fallback_events: int = 0
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        _check_labels(labels, "ranked list")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, "ranked list"))
         attrs = np.asarray(self.attributes)
         attrs = _sealed(self.attributes, attrs if attrs.size else attrs.astype(np.int64))
         scores = _sealed(self.scores, _as_float_array(self.scores, "ranked scores"))
         if attrs.shape != scores.shape:
-            raise LengthMismatch(f"{attrs.size} attributes but {scores.size} scores")
+            raise LengthMismatch(f"attributes of shape {attrs.shape} but scores of shape {scores.shape}")
         if attrs.ndim != 1 or attrs.dtype.kind not in "iu":
             raise ValidationError(f"attributes must be 1-D integers, got {attrs.dtype} {attrs.shape}")
         if attrs.size and (attrs.min() < 0 or attrs.max() >= len(self.labels)):
             raise UnknownAttribute(f"attribute index outside 0..{len(self.labels) - 1}")
         if not np.isfinite(scores).all():
             raise ValidationError("ranked scores must be finite")
-        events = self.fallback_events
-        if not _is_int(events) or events < 0:
-            raise ValidationError(f"fallback_events must be an integer >= 0, got {events!r}")
-        object.__setattr__(self, "fallback_events", int(events))
+        _check_count("fallback_events", self.fallback_events, 0)
+        object.__setattr__(self, "fallback_events", int(self.fallback_events))
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "scores", scores)
 
@@ -382,7 +388,7 @@ class RankedList:
         and not NaN. Attribute labels must appear in `labels`.
         """
         rows = _as_list(records, "ranked rows")
-        labels = _as_list(labels, "labels")
+        labels = _labels(labels, "ranked list")
         if rows and all(isinstance(r, Mapping) and "position" in r for r in rows):
             try:
                 rows.sort(key=lambda r: r["position"])
@@ -408,7 +414,7 @@ class RankedList:
                 raise UnknownAttribute(
                     f"attribute {label!r} is not in the desired distribution"
                 ) from None
-        return cls(labels=tuple(labels), attributes=_freeze(attrs), scores=_freeze(scores))
+        return cls(labels=labels, attributes=_freeze(attrs), scores=_freeze(scores))
 
 
 def empirical_distribution(counts: Mapping[str, float]) -> DesiredDistribution:

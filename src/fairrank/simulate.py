@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyResult, InvalidConfig, RankingError
 from .metrics import _columns, _Pair
-from .model import DesiredDistribution, RankingTask, ScoredPool, _as_list, _freeze, _is_int
+from .model import DesiredDistribution, RankingTask, ScoredPool, _as_list, _check_count, _freeze
 from .rerank import _CANONICAL_ORDER, Algorithm, _check_fallback, _rank_columns, coerce_algorithm
 
 # distribution indices per work unit: sets how much work each pool task
@@ -39,12 +39,6 @@ _CHUNK = 64
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """InvalidConfig unless value is an integer (not a bool) >= least."""
-    if not _is_int(value) or value < least:
-        raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @functools.cache
@@ -58,7 +52,7 @@ def gen_desired(num_attr: int, rng: np.random.Generator) -> DesiredDistribution:
 
     Proportions are strictly positive (zero draws are resampled).
     """
-    _check_count("num_attr", num_attr, 1)
+    _check_count("num_attr", num_attr, 1, InvalidConfig)
     u = rng.random(num_attr)
     while not np.all(u > 0):
         u = rng.random(num_attr)
@@ -67,8 +61,8 @@ def gen_desired(num_attr: int, rng: np.random.Generator) -> DesiredDistribution:
 
 def gen_pool(num_attr: int, pool_size: int, rng: np.random.Generator) -> ScoredPool:
     """pool_size uniform (0, 1) scores per attribute value, sorted descending."""
-    _check_count("num_attr", num_attr, 1)
-    _check_count("pool_size", pool_size, 0)
+    _check_count("num_attr", num_attr, 1, InvalidConfig)
+    _check_count("pool_size", pool_size, 0, InvalidConfig)
     s = rng.random((num_attr, pool_size))
     while not np.all(s > 0):
         s = rng.random((num_attr, pool_size))
@@ -92,7 +86,7 @@ class SimulationConfig:
         # attr_max is compared with attr_min only once attr_min has passed
         for name, least in (("attr_min", 2), ("attr_max", self.attr_min), ("num_distributions", 1),
                             ("replications", 1), ("pool_size", 1), ("k_max", 1), ("seed", 0)):
-            _check_count(name, getattr(self, name), least)
+            _check_count(name, getattr(self, name), least, InvalidConfig)
         if self.attr_min * self.pool_size < self.k_max:
             raise InvalidConfig(
                 f"{self.attr_min} pools of {self.pool_size} cannot fill k_max={self.k_max}"
@@ -177,7 +171,7 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
 
 def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
     """Evaluate the whole grid; rows come back sorted by (num_attr, algorithm)."""
-    _check_count("jobs", jobs, 1)
+    _check_count("jobs", jobs, 1, InvalidConfig)
     spans = [
         (num_attr, lo, min(lo + _CHUNK, config.num_distributions))
         for num_attr in range(config.attr_min, config.attr_max + 1)

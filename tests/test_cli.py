@@ -1,11 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fairrank import RankedList, measure, rank, task_from_dict
+import fairrank as fr
+from fairrank import RankedList, SimulationConfig, measure, rank, task_from_dict
 from fairrank.cli import _ranked_json, build_parser, main
 
 FOUR_GROUP_TASK = {
@@ -377,6 +380,32 @@ class TestMeasureCommand:
         result = self.measure(tmp_path, records, {"a": 1.0}, "--k", "9")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "desired",
+        [
+            {"a": 0.5, "b": 0.5},
+            {"a": 0.5, "zero": 0.0, "b": 0.5},
+            {"a": 0.5, "zero": -0.0, "b": 0.5},
+            {"zero": 0.0, "a": 1.0, "negative-zero": -0.0},
+        ],
+        ids=["none", "zero", "negative-zero", "all-but-one"],
+    )
+    def test_drops_the_zero_proportion_labels_a_task_drops(self, tmp_path, monkeypatch, desired):
+        seen = []
+        monkeypatch.setattr(
+            "fairrank.cli.measure", lambda ranked, d, **kw: seen.append(d) or measure(ranked, d, **kw)
+        )
+        records = write_json(tmp_path / "ranked.json", [{"attribute": "a", "score": 0.5}])
+        args = ["--input", records, "--desired", write_json(tmp_path / "desired.json", desired)]
+        assert main(["measure", *args, "--output", str(tmp_path / "report.json")]) == 0
+        task = fr.RankingTask(
+            fr.DesiredDistribution.from_mapping(desired),
+            fr.ScoredPool.from_mapping({a: [0.5] for a in desired}),
+            1,
+        )
+        assert seen[0].labels == task.desired.labels
+        assert seen[0].proportions.tolist() == task.desired.proportions.tolist()
+
 
 class TestSimulateCommand:
     def simulate(self, out, *extra):
@@ -439,6 +468,73 @@ class TestSimulateCommand:
         assert result.returncode == 0
         assert not sidecar.exists()
         assert "excluded" not in result.stderr
+
+
+class Captured(Exception):
+    """Raised by a stand-in run_grid to stop main once it holds the config."""
+
+
+class TestSimulateFlags:
+    """simulate's flags map one to one onto SimulationConfig, which supplies their defaults."""
+
+    def config(self, monkeypatch, *flags):
+        seen = []
+
+        def run_grid(config, jobs):
+            seen.append((config, jobs))
+            raise Captured
+
+        monkeypatch.setattr("fairrank.cli.run_grid", run_grid)
+        with pytest.raises(Captured):
+            main(["simulate", "--output", "unused.csv", *flags])
+        return seen[0]
+
+    def test_every_default_comes_from_the_config(self, monkeypatch):
+        config, jobs = self.config(monkeypatch)
+        for f in fields(SimulationConfig):
+            assert getattr(config, f.name) == getattr(SimulationConfig(), f.name), f.name
+        assert jobs == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, field, expected",
+        [
+            ("--attr-min", "3", "attr_min", 3),
+            ("--attr-max", "4", "attr_max", 4),
+            ("--num-distributions", "5", "num_distributions", 5),
+            ("--replications", "2", "replications", 2),
+            ("--pool-size", "60", "pool_size", 60),
+            ("--k", "50", "k_max", 50),
+            ("--seed", "7", "seed", 7),
+            ("--algorithms", " detcons,vanilla ,", "algorithms",
+             (fr.Algorithm.VANILLA, fr.Algorithm.DET_CONS)),
+        ],
+    )
+    def test_each_flag_lands_in_its_own_field(self, monkeypatch, flag, value, field, expected):
+        config, jobs = self.config(monkeypatch, flag, value)
+        changed = {
+            f.name for f in fields(SimulationConfig)
+            if getattr(config, f.name) != getattr(SimulationConfig(), f.name)
+        }
+        assert changed == {field} and getattr(config, field) == expected
+        assert jobs == 1
+
+    def test_jobs_flag_reaches_run_grid(self, monkeypatch):
+        config, jobs = self.config(monkeypatch, "--jobs", "3")
+        assert config == SimulationConfig() and jobs == 3
+
+    @pytest.mark.parametrize("value", ["", " ", ","], ids=["empty", "space", "comma"])
+    def test_empty_algorithm_selection_rejected(self, tmp_path, capsys, value):
+        # "" used to run all five algorithms
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--algorithms", value, "--output", str(out)]) == 2
+        assert "no algorithms selected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_and_config_fields_do_not_drift(self):
+        # a field added without a flag, or a flag without a field, fails here
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["simulate"]._actions} - {"help"}
+        assert dests == {f.name for f in fields(SimulationConfig)} | {"output", "jobs"}
 
 
 class TestSharedParser:

@@ -437,6 +437,34 @@ class TestRankingTask:
         task = make_task({"a": 1.0}, {"a": [0.9]}, 1)
         assert fr.validate_task(task) is task
 
+    def test_distribution_without_zeros_is_kept_as_given(self):
+        desired, pool = half_and_half({"a": [0.9], "b": [0.8]})
+        assert fr.RankingTask(desired, pool, 1).desired is desired
+
+    @pytest.mark.parametrize(
+        "labels, scores",
+        [(("a", "b"), ([0.9, 0.8],)), (("a",), ([0.9], [0.8]))],
+        ids=["fewer-scores", "fewer-labels"],
+    )
+    def test_pool_label_and_score_counts_must_agree(self, labels, scores):
+        # zip used to drop the unmatched label's pool, or the unmatched scores
+        desired, _ = half_and_half({})
+        match = f"{len(labels)} pool labels but {len(scores)} score arrays"
+        with pytest.raises(fr.LengthMismatch, match=match):
+            fr.RankingTask(desired, fr.ScoredPool(labels, scores), 1)
+
+    @pytest.mark.parametrize("scores", [None, 0.9], ids=["none", "number"])
+    def test_pool_scores_that_are_not_a_list_rejected(self, scores):
+        # len() on these would raise a bare TypeError
+        desired, _ = half_and_half({})
+        with pytest.raises(fr.ValidationError, match="pool scores must be a list"):
+            fr.RankingTask(desired, fr.ScoredPool(("a", "b"), scores), 1)
+
+    def test_pool_scores_may_come_as_any_iterable(self):
+        desired, _ = half_and_half({})
+        pool = fr.ScoredPool(("a", "b"), (s for s in ([0.9], [0.8])))
+        assert [s.tolist() for s in fr.RankingTask(desired, pool, 2).pool.scores] == [[0.9], [0.8]]
+
     @pytest.mark.parametrize(
         "copy_of", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy], ids=["pickle", "deepcopy"]
     )
@@ -708,12 +736,26 @@ class TestRankedList:
     def test_attribute_and_score_lengths_must_agree(self):
         # four attributes with two scores used to measure as a 4-long list
         # with ndcg 1.0 over its 2 scores
-        with pytest.raises(fr.LengthMismatch):
+        with pytest.raises(fr.LengthMismatch, match=r"shape \(4,\) but scores of shape \(2,\)"):
             fr.RankedList(
                 labels=("a", "b"),
                 attributes=np.array([0, 1, 0, 1], dtype=np.int64),
                 scores=np.array([0.9, 0.8]),
             )
+
+    @pytest.mark.parametrize(
+        "attributes, scores, shapes",
+        [
+            (None, [0.5], r"\(\) but scores of shape \(1,\)"),
+            ([[0]], [0.5], r"\(1, 1\) but scores of shape \(1,\)"),
+            ([0, 0], [[0.5, 0.4]], r"\(2,\) but scores of shape \(1, 2\)"),
+        ],
+        ids=["scalar", "nested-attributes", "nested-scores"],
+    )
+    def test_shape_mismatch_reports_the_shapes(self, attributes, scores, shapes):
+        # these used to report equal sizes, "1 attributes but 1 scores" or "2 ... but 2"
+        with pytest.raises(fr.LengthMismatch, match=f"attributes of shape {shapes}"):
+            fr.RankedList(labels=("a", "b"), attributes=attributes, scores=scores)
 
     @pytest.mark.parametrize(
         "attributes, scores",
@@ -840,3 +882,27 @@ def test_inputs_of_the_wrong_container_type_raise_validation_error(call):
     # the first three used to raise AttributeError, the last TypeError
     with pytest.raises(fr.ValidationError):
         call()
+
+
+LABEL_ENTRY_POINTS = {
+    "distribution": lambda labels: fr.DesiredDistribution(labels, [0.5, 0.5]),
+    "ranked-list": lambda labels: fr.RankedList(labels, [0], [0.5]),
+    "pool": lambda labels: fr.RankingTask(
+        fr.DesiredDistribution(("a", "b"), [0.5, 0.5]), fr.ScoredPool(labels, ([0.9], [0.8])), 1
+    ),
+    "record-labels": lambda labels: fr.RankedList.from_records([], labels),
+}
+
+
+@pytest.mark.parametrize(
+    "labels, match",
+    [(None, "must be a list"), ("ab", "must be a list"), (5, "must be a list"),
+     ((1, 2), "must be strings")],
+    ids=["none", "bare-string", "number", "non-string"],
+)
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+def test_labels_are_checked_alike_at_every_entry_point(entry, labels, match):
+    # a distribution took "ab" as ("a", "b") and None as a raw TypeError; a pool took "ab"
+    # too, and named the non-string label 1 an unknown attribute
+    with pytest.raises(fr.ValidationError, match=match):
+        LABEL_ENTRY_POINTS[entry](labels)
