@@ -107,7 +107,8 @@ def _as_float_array(values, what: str) -> np.ndarray:
     Bools, strings, bytes, complex numbers and objects such as None are
     rejected, not cast: numpy would read True as 1.0 and "0.5" as 0.5. Only
     the dtype numpy infers for the whole array is tested, so a list that
-    mixes numbers with a bool, such as [0.9, True], still reads as floats.
+    mixes numbers with a bool, such as [0.9, True], still reads as floats:
+    finding that bool would take a scan of every element on every request.
     Integers beyond 64 bits come out as objects and are converted one by one.
     A native float64 ndarray is returned as it is, as np.asarray and
     astype(copy=False) would return it.

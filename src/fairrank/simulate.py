@@ -170,7 +170,11 @@ def _run_chunk(config: SimulationConfig, num_attr: int, lo: int, hi: int):
 
 
 def run_grid(config: SimulationConfig, jobs: int = 1) -> list[AggregateRow]:
-    """Evaluate the whole grid; rows come back sorted by (num_attr, algorithm)."""
+    """Evaluate the whole grid; rows come back sorted by (num_attr, algorithm).
+
+    jobs caps the worker processes, and no more are started than there are
+    work units; with one worker, the grid runs in this process.
+    """
     _check_count("jobs", jobs, 1, InvalidConfig)
     spans = [
         (num_attr, lo, min(lo + _CHUNK, config.num_distributions))

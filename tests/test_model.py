@@ -586,7 +586,7 @@ class TestTaskFromDict:
 
     def test_bool_mixed_into_numbers_reads_as_a_number(self):
         # numpy infers float64 for the whole list; finding the bool would
-        # take a scan per element on every request (see README)
+        # take a scan per element on every request (see model._as_float_array)
         task = fr.task_from_dict({"k": 2, "desired": {"a": 1.0}, "pools": {"a": [True, 0.5]}})
         assert task.pool.scores[0].tolist() == [1.0, 0.5]
 
